@@ -17,6 +17,9 @@
 // pinned below (kCecJudgeTable), and the pruned-universe `.ans` bytes are
 // required to match kJudgeTable *unchanged* — the untestable-class prover
 // may only skip faults that never detect, so pruning must not move a byte.
+// The profile table (kProfileJudgeTable) pins the `kind=profile` JSON bytes
+// of every suite circuit at default ProfileOptions: the (s, S0, sw0, k, d0)
+// extraction every energy bound starts from, whichever route computes it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +30,7 @@
 #include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
+#include "core/profile.hpp"
 #include "exec/batch.hpp"
 #include "fault/campaign.hpp"
 #include "fault/untestable.hpp"
@@ -253,6 +257,112 @@ TEST(FaultJudge, PrunedAnsDigestIndependentOfLaneWidthAndThreads) {
                   name, options, exec::Parallelism::dedicated(8))),
               baseline)
         << "lanes=" << to_string(width) << " threads=8";
+  }
+}
+
+// ---- profile-extraction digests -------------------------------------------
+
+// The `kind=profile` row exactly as the batch JSON writer emits it, for one
+// suite circuit as built (no mapping) at default ProfileOptions. Covers both
+// activity routes (BDD up to 16 inputs, Monte-Carlo beyond) and both
+// sensitivity routes (exhaustive up to 20 inputs, sampled beyond).
+std::string profile_json(const analysis::AnalysisResult& result) {
+  std::ostringstream out;
+  exec::write_result_json(out, result);
+  return out.str();
+}
+
+analysis::AnalysisRequest profile_request(const std::string& name) {
+  analysis::AnalysisRequest request;
+  request.name = name;
+  request.circuit = analysis::compile(gen::find_benchmark(name).build());
+  request.options = analysis::ProfileRequest{};
+  return request;
+}
+
+std::string judge_profile_json(const std::string& name,
+                               exec::Parallelism how = {}) {
+  return profile_json(analysis::evaluate(profile_request(name), how));
+}
+
+constexpr JudgeEntry kProfileJudgeTable[] = {
+    {"c17",
+     "4a8053ce027781c751f207c7449609e8c4da81438d37886f0c58328117154ff4"},
+    {"parity8",
+     "bb869e7397963ae945a0ee05eeaf68cd53e098a237d40811e353e17f64409070"},
+    {"parity16",
+     "53a242c3a439c6da318a2acf7ce9125abf3ee26758d3235fdc780d8d7fbaea12"},
+    {"rca8",
+     "e81a484dcc524490508c50d5c10f3aad47bd92b7d6a0de5aca85fed96448aeb3"},
+    {"rca16",
+     "40ad9120e2d8c4cde79d1d820c06f36bd56226943d00f775d936bca40c775ca5"},
+    {"rca32",
+     "a7b74fafc7ee084f31b562d916ac67a60cea0952ebd4a9d81240f7354e21431c"},
+    {"cla16",
+     "f7f69a6fdf1ddf5f584903c071978750648bfa511aef6cc3b8f50cf06120c35a"},
+    {"csel16",
+     "9aa125fb740f926c9aae146c2beff65a9bcef00b485187f1771e64f262bb2206"},
+    {"mult4",
+     "54e01a7560bda95524329568084a7f63e92186b8249842f7fd2263ca50430ceb"},
+    {"mult8",
+     "4d6392ab98c8afb452b31d50c1963a76b06d2cad1fef16b882753f20eced3356"},
+    {"cmp16",
+     "1f2af288cd8c308bd59dd4e23f60e52ad0567c97863667ff980ed40dd6dd47c9"},
+    {"alu8",
+     "347b7b299c4f445220795e5bdb3144a777c8864cab2b38a825357a1ba2b27489"},
+    {"c432",
+     "53d4efdcaa75e01ac9c6f49ed46e8de0db0c2bf90530a9051f2f1ea9c8082a00"},
+    {"rca256",
+     "5542a7da5a8b24ba037e8c9c90bce22e247c4ce14768adde1be1754774e74fe6"},
+    {"csel64",
+     "886d83fcb0ac81c880117d86cd3a9fd16ac40d8db46f2d28136cc485c0f52924"},
+    {"mult16",
+     "b45b5f6ad9df838a6ff8d923ad7a075917f3e90b41ea18437db317d5ea1dbd4f"},
+    {"alu64",
+     "dcc8c8cf61951a179060c68c660e9298b2148401fc5690a5d2df9c71af9390e9"},
+};
+
+TEST(FaultJudge, ProfileTableCoversStandardAndScaleSuites) {
+  std::vector<std::string> expected;
+  for (const gen::BenchmarkSpec& spec : gen::standard_suite()) {
+    expected.push_back(spec.name);
+  }
+  for (const gen::BenchmarkSpec& spec : gen::scale_suite()) {
+    expected.push_back(spec.name);
+  }
+  std::vector<std::string> pinned;
+  for (const JudgeEntry& entry : kProfileJudgeTable) {
+    pinned.push_back(entry.name);
+  }
+  EXPECT_EQ(pinned, expected);
+}
+
+TEST(FaultJudge, ProfileJsonDigestsMatchGoldenTable) {
+  for (const JudgeEntry& entry : kProfileJudgeTable) {
+    const std::string json = judge_profile_json(entry.name);
+    EXPECT_EQ(util::sha256_hex(json), entry.sha256)
+        << entry.name << " actual bytes: " << json;
+  }
+}
+
+// The direct extraction and the batch give the same bytes serially, on the
+// global pool, and on a dedicated pool.
+TEST(FaultJudge, ProfileJsonIdenticalAcrossRoutesAndThreads) {
+  const std::string name = "c432";
+  const std::string baseline = judge_profile_json(name);
+  for (const exec::Parallelism how :
+       {exec::Parallelism::serial(), exec::Parallelism::global_pool(),
+        exec::Parallelism::dedicated(3)}) {
+    const analysis::AnalysisRequest request = profile_request(name);
+    const core::CircuitProfile direct =
+        core::extract_profile(request.circuit.circuit(), {}, how);
+    EXPECT_EQ(profile_json(analysis::make_result(name, direct)), baseline)
+        << "direct threads=" << how.threads;
+    const std::vector<analysis::AnalysisResult> batched =
+        exec::evaluate_requests({request}, how);
+    ASSERT_EQ(batched.size(), 1u);
+    EXPECT_EQ(profile_json(batched.front()), baseline)
+        << "batch threads=" << how.threads;
   }
 }
 
