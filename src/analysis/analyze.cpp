@@ -1,50 +1,8 @@
 #include "analysis/analyze.hpp"
 
-#include <stdexcept>
-#include <utility>
-
-#include "harden/pareto.hpp"
+#include "exec/batch.hpp"
 
 namespace enb::analysis {
-
-sim::ReliabilityResult estimate_reliability(const CompiledCircuit& circuit,
-                                            double epsilon,
-                                            const sim::ReliabilityOptions& options,
-                                            exec::Parallelism how) {
-  return sim::estimate_reliability(circuit.circuit(), epsilon, options, how);
-}
-
-sim::ReliabilityResult estimate_reliability_vs(
-    const CompiledCircuit& noisy, const CompiledCircuit& golden, double epsilon,
-    const sim::ReliabilityOptions& options, exec::Parallelism how) {
-  return sim::estimate_reliability_vs(noisy.circuit(), golden.circuit(),
-                                      epsilon, options, how);
-}
-
-sim::WorstCaseResult estimate_worst_case_reliability(
-    const CompiledCircuit& noisy, const CompiledCircuit& golden, double epsilon,
-    const sim::WorstCaseOptions& options, exec::Parallelism how) {
-  return sim::estimate_worst_case_reliability(noisy.circuit(), golden.circuit(),
-                                              epsilon, options, how);
-}
-
-sim::ActivityResult estimate_activity(const CompiledCircuit& circuit,
-                                      const sim::ActivityOptions& options,
-                                      exec::Parallelism how) {
-  return sim::estimate_activity(circuit.circuit(), options, how);
-}
-
-sim::SensitivityResult compute_sensitivity(const CompiledCircuit& circuit,
-                                           const sim::SensitivityOptions& options,
-                                           exec::Parallelism how) {
-  return sim::compute_sensitivity(circuit.circuit(), options, how);
-}
-
-const core::CircuitProfile& extract_profile(const CompiledCircuit& circuit,
-                                            const core::ProfileOptions& options,
-                                            exec::Parallelism how) {
-  return circuit.profile(options, how);
-}
 
 core::BoundReport analyze(const CompiledCircuit& circuit, double epsilon,
                           double delta, const core::EnergyModelOptions& energy,
@@ -55,72 +13,7 @@ core::BoundReport analyze(const CompiledCircuit& circuit, double epsilon,
 }
 
 AnalysisResult evaluate(const AnalysisRequest& request, exec::Parallelism how) {
-  AnalysisResult result;
-  result.name = request.name;
-  result.kind = request.kind();
-  try {
-    ResultPayload payload = std::visit(
-        [&](const auto& spec) -> ResultPayload {
-          using Spec = std::decay_t<decltype(spec)>;
-          if constexpr (std::is_same_v<Spec, ReliabilityRequest>) {
-            return request.golden.has_value()
-                       ? estimate_reliability_vs(request.circuit,
-                                                 *request.golden, spec.epsilon,
-                                                 spec.options, how)
-                       : estimate_reliability(request.circuit, spec.epsilon,
-                                              spec.options, how);
-          } else if constexpr (std::is_same_v<Spec, WorstCaseRequest>) {
-            const CompiledCircuit& golden = request.golden.has_value()
-                                                ? *request.golden
-                                                : request.circuit;
-            return estimate_worst_case_reliability(request.circuit, golden,
-                                                   spec.epsilon, spec.options,
-                                                   how);
-          } else if constexpr (std::is_same_v<Spec, ActivityRequest>) {
-            return estimate_activity(request.circuit, spec.options, how);
-          } else if constexpr (std::is_same_v<Spec, SensitivityRequest>) {
-            return compute_sensitivity(request.circuit, spec.options, how);
-          } else if constexpr (std::is_same_v<Spec, EnergyBoundRequest>) {
-            if (spec.profile_override.has_value()) {
-              return core::analyze(*spec.profile_override, spec.epsilon,
-                                   spec.delta, spec.energy);
-            }
-            const core::CircuitProfile& profile =
-                request.circuit.profile(spec.profile, how);
-            result.profile = profile;
-            return core::analyze(profile, spec.epsilon, spec.delta,
-                                 spec.energy);
-          } else if constexpr (std::is_same_v<Spec, ProfileRequest>) {
-            return request.circuit.profile(spec.options, how);
-          } else if constexpr (std::is_same_v<Spec, FaultCampaignRequest>) {
-            const netlist::Circuit* golden =
-                request.golden.has_value() ? &request.golden->circuit()
-                                           : nullptr;
-            return fault::run_campaign(request.circuit.circuit(), golden,
-                                       spec.options, how);
-          } else if constexpr (std::is_same_v<Spec, LintRequest>) {
-            return lint_circuit(request.circuit.circuit(), spec.options);
-          } else if constexpr (std::is_same_v<Spec, CecRequest>) {
-            if (!request.golden.has_value()) {
-              throw std::invalid_argument(
-                  "cec requires a golden circuit to compare against");
-            }
-            return check_equivalence(request.circuit.circuit(),
-                                     request.golden->circuit(), spec.options);
-          } else {
-            static_assert(std::is_same_v<Spec, HardenRequest>);
-            return harden::pareto_sweep(request.circuit, spec.options, how);
-          }
-        },
-        request.options);
-    set_payload(result, std::move(payload));
-    result.ok = true;
-  } catch (const std::exception& e) {
-    result.ok = false;
-    result.error = e.what();
-    result.profile.reset();
-  }
-  return result;
+  return exec::evaluate_requests({request}, how).front();
 }
 
 }  // namespace enb::analysis

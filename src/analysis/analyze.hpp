@@ -1,12 +1,11 @@
-// The analysis layer's front door: handle-based overloads of the six
-// standalone estimator entry points, plus a generic evaluate() over typed
-// requests.
+// The analysis layer's front door for single requests: analyze() for the
+// Theorem 1-4 bounds of a handle, and evaluate() for one typed request.
 //
-// These are the single-request counterparts of exec::BatchEvaluator — same
-// request vocabulary, same results (bit-identical: both schedule the
-// estimators' shard-level building blocks over the same counter-based
-// streams). Prefer these for one-off analyses and the batch evaluator when
-// fanning out many requests.
+// evaluate() is a batch of one — exec::BatchEvaluator is the only code that
+// dispatches on AnalysisKind — so a single evaluation returns exactly what
+// the same request returns inside any batch. For one kind on its own, call
+// the engine directly (sim::estimate_reliability, CompiledCircuit::profile,
+// fault::run_campaign, ...).
 #pragma once
 
 #include "analysis/compiled_circuit.hpp"
@@ -14,38 +13,6 @@
 #include "core/analyzer.hpp"
 
 namespace enb::analysis {
-
-// ---- the six standalone entry points, on shared handles ------------------
-// Parallelism routes through `how` exclusively (the deprecated
-// Options::threads knobs are ignored here).
-
-[[nodiscard]] sim::ReliabilityResult estimate_reliability(
-    const CompiledCircuit& circuit, double epsilon,
-    const sim::ReliabilityOptions& options = {}, exec::Parallelism how = {});
-
-[[nodiscard]] sim::ReliabilityResult estimate_reliability_vs(
-    const CompiledCircuit& noisy, const CompiledCircuit& golden,
-    double epsilon, const sim::ReliabilityOptions& options = {},
-    exec::Parallelism how = {});
-
-[[nodiscard]] sim::WorstCaseResult estimate_worst_case_reliability(
-    const CompiledCircuit& noisy, const CompiledCircuit& golden,
-    double epsilon, const sim::WorstCaseOptions& options = {},
-    exec::Parallelism how = {});
-
-[[nodiscard]] sim::ActivityResult estimate_activity(
-    const CompiledCircuit& circuit, const sim::ActivityOptions& options = {},
-    exec::Parallelism how = {});
-
-[[nodiscard]] sim::SensitivityResult compute_sensitivity(
-    const CompiledCircuit& circuit,
-    const sim::SensitivityOptions& options = {}, exec::Parallelism how = {});
-
-// Cached on the handle: repeated calls (and batch jobs sharing the handle)
-// extract at most once per profile key.
-[[nodiscard]] const core::CircuitProfile& extract_profile(
-    const CompiledCircuit& circuit, const core::ProfileOptions& options = {},
-    exec::Parallelism how = {});
 
 // Theorem 1-4 bounds at (epsilon, delta) for the handle's cached profile
 // (extracting it on first use).
@@ -55,11 +22,9 @@ namespace enb::analysis {
     const core::ProfileOptions& profile_options = {},
     exec::Parallelism how = {});
 
-// ---- generic typed front door --------------------------------------------
-
-// Evaluates one request. Never throws for per-request problems: invalid
-// options or a throwing evaluation produce ok = false with the error text,
-// exactly like a batch job. result.index is 0.
+// Evaluates one request as a batch of one. Never throws for per-request
+// problems: invalid options or a throwing evaluation produce ok = false with
+// the error text, exactly like a batch job. result.index is 0.
 [[nodiscard]] AnalysisResult evaluate(const AnalysisRequest& request,
                                       exec::Parallelism how = {});
 

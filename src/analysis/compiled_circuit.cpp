@@ -1,5 +1,6 @@
 #include "analysis/compiled_circuit.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <utility>
@@ -37,22 +38,12 @@ ProfileMetrics& profile_metrics() {
 
 }  // namespace
 
-ProfileKey profile_key(const core::ProfileOptions& options) noexcept {
-  ProfileKey key;
-  key.activity_pairs = options.activity_pairs;
-  key.prefer_exact_activity = options.prefer_exact_activity;
-  key.exact_activity_max_inputs = options.exact_activity_max_inputs;
-  key.sensitivity_exact_max_inputs = options.sensitivity_exact_max_inputs;
-  key.sensitivity_sample_words = options.sensitivity_sample_words;
-  key.seed = options.seed;
-  return key;
-}
-
 // All cached artifacts live behind one mutex. Computation happens under the
-// lock: first-use costs serialize, but every artifact is computed exactly
-// once and the lock is never contended on the hot (cache-hit) path for more
-// than a lookup. Profiles are stored behind shared_ptr so the references
-// handed out stay stable while the cache vector grows.
+// lock — except profile extraction, see profile() — so first-use costs
+// serialize, but every artifact is computed exactly once and the lock is
+// never contended on the hot (cache-hit) path for more than a lookup.
+// Profiles are stored behind shared_ptr so the references handed out stay
+// stable while the cache vector grows.
 struct CompiledCircuit::Impl {
   explicit Impl(netlist::Circuit c) : circuit(std::move(c)) {}
 
@@ -62,13 +53,40 @@ struct CompiledCircuit::Impl {
   mutable std::optional<netlist::CircuitStats> stats ENB_GUARDED_BY(mutex);
   mutable std::optional<std::vector<int>> levels ENB_GUARDED_BY(mutex);
   mutable std::optional<std::vector<int>> fanout_counts ENB_GUARDED_BY(mutex);
-  mutable std::vector<std::pair<ProfileKey,
+  mutable std::vector<std::pair<core::ProfileOptions,
                                 std::shared_ptr<const core::CircuitProfile>>>
       profiles ENB_GUARDED_BY(mutex);
+  // Options with an extraction in flight; waiters sleep on extracted_cv.
+  mutable std::vector<core::ProfileOptions> extracting ENB_GUARDED_BY(mutex);
+  mutable util::CondVar extracted_cv;
   mutable std::vector<std::pair<int, CompiledCircuit>> mapped
       ENB_GUARDED_BY(mutex);
   mutable std::optional<std::uint64_t> fingerprint ENB_GUARDED_BY(mutex);
   mutable std::atomic<std::uint64_t> extractions{0};
+
+  const core::CircuitProfile* find_profile(
+      const core::ProfileOptions& options) const ENB_REQUIRES(mutex) {
+    for (const auto& [cached_options, cached] : profiles) {
+      if (cached_options == options) return cached.get();
+    }
+    return nullptr;
+  }
+
+  // Counts one extraction and caches `profile` unless an entry for
+  // `options` exists already (the values are equal); returns the entry.
+  const core::CircuitProfile& store(const core::ProfileOptions& options,
+                                    core::CircuitProfile profile) const
+      ENB_REQUIRES(mutex) {
+    profile_metrics().extractions.add(1);
+    extractions.fetch_add(1, std::memory_order_relaxed);
+    if (const core::CircuitProfile* existing = find_profile(options)) {
+      return *existing;
+    }
+    profiles.emplace_back(
+        options,
+        std::make_shared<const core::CircuitProfile>(std::move(profile)));
+    return *profiles.back().second;
+  }
 };
 
 CompiledCircuit::Impl& CompiledCircuit::checked() const {
@@ -116,55 +134,66 @@ const std::vector<int>& CompiledCircuit::fanout_counts() const {
 const core::CircuitProfile& CompiledCircuit::profile(
     const core::ProfileOptions& options, exec::Parallelism how) const {
   Impl& impl = checked();
-  const ProfileKey key = profile_key(options);
-  const util::LockGuard lock(impl.mutex);
-  for (const auto& [cached_key, cached] : impl.profiles) {
-    if (cached_key == key) {
+  util::UniqueLock lock(impl.mutex);
+  for (;;) {
+    if (const core::CircuitProfile* cached = impl.find_profile(options)) {
       profile_metrics().hits.add(1);
       return *cached;
     }
+    if (std::find(impl.extracting.begin(), impl.extracting.end(), options) ==
+        impl.extracting.end()) {
+      break;  // we own this extraction
+    }
+    // Another caller is extracting these options: wait for its result; if
+    // its extraction throws, retry as the new owner.
+    impl.extracted_cv.wait(lock);
   }
-  // A miss extracts under the lock: concurrent callers with the same key
-  // block here and hit the cache instead of re-extracting.
-  const obs::Span span("profile-extraction", {}, impl.circuit.name());
-  const auto start = std::chrono::steady_clock::now();
-  auto extracted = std::make_shared<const core::CircuitProfile>(
-      core::extract_profile(impl.circuit, options, how));
-  profile_metrics().seconds.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
-  profile_metrics().extractions.add(1);
-  impl.extractions.fetch_add(1, std::memory_order_relaxed);
-  impl.profiles.emplace_back(key, extracted);
-  return *impl.profiles.back().second;
+  impl.extracting.push_back(options);
+  const auto release = [&impl, &options] {
+    impl.mutex.assert_held();  // both call sites re-lock first
+    impl.extracting.erase(
+        std::find(impl.extracting.begin(), impl.extracting.end(), options));
+    impl.extracted_cv.notify_all();
+  };
+
+  // Extract outside the lock: the extraction may wait for the thread pool,
+  // and a pool task of another batch may need this handle's cache (a harden
+  // job's nested batch looks its base profile up), so holding the lock
+  // across the extraction can deadlock.
+  lock.unlock();
+  std::optional<core::CircuitProfile> extracted;
+  try {
+    const obs::Span span("profile-extraction", {}, impl.circuit.name());
+    const auto start = std::chrono::steady_clock::now();
+    extracted = core::extract_profile(impl.circuit, options, how);
+    profile_metrics().seconds.observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count());
+  } catch (...) {
+    lock.lock();
+    release();
+    throw;
+  }
+  lock.lock();
+  release();
+  return impl.store(options, std::move(*extracted));
 }
 
 std::optional<core::CircuitProfile> CompiledCircuit::cached_profile(
     const core::ProfileOptions& options) const {
   Impl& impl = checked();
-  const ProfileKey key = profile_key(options);
   const util::LockGuard lock(impl.mutex);
-  for (const auto& [cached_key, cached] : impl.profiles) {
-    if (cached_key == key) {
-      profile_metrics().hits.add(1);
-      return *cached;
-    }
-  }
-  return std::nullopt;
+  const core::CircuitProfile* cached = impl.find_profile(options);
+  if (cached == nullptr) return std::nullopt;
+  profile_metrics().hits.add(1);
+  return *cached;
 }
 
 void CompiledCircuit::store_profile(const core::ProfileOptions& options,
                                     core::CircuitProfile profile) const {
   Impl& impl = checked();
-  const ProfileKey key = profile_key(options);
   const util::LockGuard lock(impl.mutex);
-  profile_metrics().extractions.add(1);
-  impl.extractions.fetch_add(1, std::memory_order_relaxed);
-  for (const auto& [cached_key, cached] : impl.profiles) {
-    if (cached_key == key) return;  // existing entry wins (values equal)
-  }
-  impl.profiles.emplace_back(
-      key, std::make_shared<const core::CircuitProfile>(std::move(profile)));
+  (void)impl.store(options, std::move(profile));
 }
 
 std::uint64_t CompiledCircuit::profile_extractions() const {

@@ -16,9 +16,8 @@
 //     artifacts are therefore valid forever.
 //   - All accessors are thread-safe; concurrent first calls compute an
 //     artifact exactly once.
-//   - Profiles are cached per ProfileKey (the value-relevant fields of
-//     core::ProfileOptions — the deprecated threads knob never changes the
-//     result, so it is not part of the key).
+//   - Profiles are cached per core::ProfileOptions value (every field of it
+//     reaches the profile).
 #pragma once
 
 #include <cstddef>
@@ -34,23 +33,6 @@
 #include "netlist/stats.hpp"
 
 namespace enb::analysis {
-
-// The fields of core::ProfileOptions that determine the extracted profile's
-// value. Two option sets with equal keys share one cached extraction per
-// CompiledCircuit.
-struct ProfileKey {
-  std::size_t activity_pairs = 0;
-  bool prefer_exact_activity = false;
-  int exact_activity_max_inputs = 0;
-  int sensitivity_exact_max_inputs = 0;
-  std::uint64_t sensitivity_sample_words = 0;
-  std::uint64_t seed = 0;
-
-  friend bool operator==(const ProfileKey&, const ProfileKey&) = default;
-};
-
-[[nodiscard]] ProfileKey profile_key(
-    const core::ProfileOptions& options) noexcept;
 
 class CompiledCircuit {
  public:
@@ -73,9 +55,11 @@ class CompiledCircuit {
   [[nodiscard]] const std::vector<int>& fanout_counts() const;
 
   // The (s, S0, sw0, k, d0) profile, extracted on first use and cached per
-  // ProfileKey. `how` only controls the parallelism of a cache miss; the
+  // options value. `how` only controls the parallelism of a cache miss; the
   // cached value is bit-identical for any choice. The reference stays valid
-  // for the life of the handle.
+  // for the life of the handle. The extraction runs outside the handle's
+  // lock: concurrent callers with equal options wait for it, every other
+  // accessor proceeds.
   [[nodiscard]] const core::CircuitProfile& profile(
       const core::ProfileOptions& options = {},
       exec::Parallelism how = {}) const;
@@ -84,12 +68,11 @@ class CompiledCircuit {
   [[nodiscard]] std::optional<core::CircuitProfile> cached_profile(
       const core::ProfileOptions& options) const;
 
-  // Cache-fill path for engines that extract profiles through their own
-  // (sharded) schedule — exec::BatchEvaluator's extraction groups. `profile`
-  // must be the bit-identical value core::extract_profile would produce for
-  // `options`; ordinary callers should use profile() instead. Counts as one
-  // extraction. A pre-existing entry for the key wins (the values are equal
-  // by contract).
+  // Cache-fill path for exec::BatchEvaluator's extraction groups, which run
+  // a core::ProfileExtraction's tasks on the batch's own schedule. `profile`
+  // must be what core::extract_profile returns for `options`; ordinary
+  // callers should use profile() instead. Counts as one extraction. A
+  // pre-existing entry for the options wins (the values are equal).
   void store_profile(const core::ProfileOptions& options,
                      core::CircuitProfile profile) const;
 

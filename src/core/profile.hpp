@@ -6,10 +6,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "exec/thread_pool.hpp"
 #include "netlist/circuit.hpp"
+#include "sim/activity.hpp"
+#include "sim/sensitivity.hpp"
+#include "util/sync.hpp"
 
 namespace enb::core {
 
@@ -36,21 +40,64 @@ struct ProfileOptions {
   int sensitivity_exact_max_inputs = 20;
   std::uint64_t sensitivity_sample_words = 256;
   std::uint64_t seed = 17;
-  // Deprecated dual knob: only the extract_profile overload without an
-  // exec::Parallelism parameter still honours it. Results are bit-identical
-  // for any thread count either way.
-  unsigned threads = 0;
+
+  // Every field reaches the profile, so equal options mean equal profiles
+  // (the profile caches key on this).
+  friend bool operator==(const ProfileOptions&,
+                         const ProfileOptions&) = default;
 };
 
 // Measures a profile from a (typically mapped) netlist, parallelizing the
-// Monte-Carlo substrates per `how`.
+// Monte-Carlo substrates per `how`: a ProfileExtraction run over
+// exec::for_each_index. Results are bit-identical for any thread count.
 [[nodiscard]] CircuitProfile extract_profile(const netlist::Circuit& circuit,
-                                             const ProfileOptions& options,
-                                             exec::Parallelism how);
+                                             const ProfileOptions& options = {},
+                                             exec::Parallelism how = {});
 
-// Deprecated-knob form: honours options.threads.
-[[nodiscard]] CircuitProfile extract_profile(const netlist::Circuit& circuit,
-                                             const ProfileOptions& options = {});
+// ---- shard-level building blocks -----------------------------------------
+//
+// One profile extraction as a fixed set of independent tasks: either one
+// exact-activity task (BDD, with a silent serial Monte-Carlo fallback when
+// the BDD blows up) or the Monte-Carlo activity shards, followed by the
+// sensitivity shards. Tasks merge into the extraction's accumulators
+// commutatively, so any schedule — serial, a pool, or interleaved with other
+// jobs' tasks in exec::BatchEvaluator — yields the same profile bits.
+class ProfileExtraction {
+ public:
+  // Validates like extract_profile (std::invalid_argument on a gateless
+  // circuit or an invalid Monte-Carlo budget) and plans the tasks. `circuit`
+  // must outlive the extraction.
+  ProfileExtraction(const netlist::Circuit& circuit,
+                    const ProfileOptions& options);
+
+  [[nodiscard]] std::size_t num_tasks() const noexcept {
+    return activity_tasks() + sensitivity_plan_.num_shards();
+  }
+
+  // Runs task `task` in [0, num_tasks()); safe to call concurrently for
+  // distinct tasks.
+  void run_task(std::size_t task);
+
+  // Assembles the profile once every task has run.
+  [[nodiscard]] CircuitProfile finish();
+
+ private:
+  [[nodiscard]] std::size_t activity_tasks() const noexcept {
+    return exact_activity_ ? 1 : activity_plan_.num_shards();
+  }
+
+  const netlist::Circuit& circuit_;
+  sim::ActivityOptions activity_options_;
+  sim::SensitivityOptions sensitivity_options_;
+  bool exact_activity_ = false;  // one BDD task instead of activity shards
+  exec::ShardPlan activity_plan_{0, 1};
+  exec::ShardPlan sensitivity_plan_{0, 1};
+
+  util::Mutex mutex_;  // guards the accumulators
+  sim::ActivityCounts activity_counts_ ENB_GUARDED_BY(mutex_);
+  sim::SensitivityCounts sensitivity_counts_ ENB_GUARDED_BY(mutex_);
+  std::optional<double> exact_sw0_ ENB_GUARDED_BY(mutex_);
+};
 
 // A profile from explicit numbers (e.g. the paper's s=10, S0=21 parity).
 [[nodiscard]] CircuitProfile make_profile(std::string name, double sensitivity,

@@ -14,7 +14,6 @@
 #include <stdexcept>
 
 #include "analysis/lint.hpp"
-#include "bdd/bdd_analysis.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault_model.hpp"
@@ -36,67 +35,36 @@ using analysis::AnalysisResult;
 using analysis::CompiledCircuit;
 using netlist::Circuit;
 
-// Estimator options derived from profile-extraction knobs, mirroring
-// core::extract_profile so batched profiles are bit-identical to direct
-// extraction.
-sim::ActivityOptions profile_activity_options(const core::ProfileOptions& p) {
-  sim::ActivityOptions o;
-  o.sample_pairs = p.activity_pairs;
-  o.seed = p.seed;
-  return o;
-}
-
-sim::SensitivityOptions profile_sensitivity_options(
-    const core::ProfileOptions& p) {
-  sim::SensitivityOptions o;
-  o.max_exact_inputs = p.sensitivity_exact_max_inputs;
-  o.sample_words = p.sensitivity_sample_words;
-  o.seed = p.seed + 1;
-  return o;
-}
-
 const Circuit& golden_of(const AnalysisRequest& request) {
   return request.golden.has_value() ? request.golden->circuit()
                                     : request.circuit.circuit();
 }
 
-// Profile extraction mirrors core::extract_profile: exact (BDD) activity
-// when small enough — one task, with the silent Monte-Carlo fallback run
-// inline — otherwise activity shards; plus sensitivity shards.
-struct ProfilePlan {
-  bool direct_activity = false;  // BDD route (task 0) instead of MC shards
-  ShardPlan activity{0, 1};
-  ShardPlan sensitivity{0, 1};
-  std::size_t num_shards() const {
-    return (direct_activity ? 1 : activity.num_shards()) +
-           sensitivity.num_shards();
-  }
-};
-
 // One profile extraction shared by every request in the batch that names the
-// same (handle, profile key): its shards enter the flat task space exactly
-// once and the assembled profile lands in the handle's cache. Accumulators
-// merge commutatively, so shard completion order never reaches the profile.
+// same (handle, profile options): the core::ProfileExtraction's tasks enter
+// the flat task space exactly once and the finished profile lands in the
+// handle's cache. The group only adds the batch's bookkeeping.
 struct ExtractionGroup {
+  // Validates exactly like core::extract_profile (the extraction's
+  // constructor throws).
+  ExtractionGroup(CompiledCircuit handle, const core::ProfileOptions& opts)
+      : circuit(std::move(handle)),
+        options(opts),
+        extraction(circuit.circuit(), options),
+        remaining(extraction.num_tasks()) {}
+
   CompiledCircuit circuit;
-  core::ProfileOptions options;  // the key's value-relevant knobs
-  ProfilePlan plan;
+  core::ProfileOptions options;
+  core::ProfileExtraction extraction;
 
-  util::Mutex mutex;  // guards error, the accumulators, and the profile
-  std::unique_ptr<sim::ActivityCounts> activity_counts
-      ENB_PT_GUARDED_BY(mutex);
-  std::unique_ptr<sim::SensitivityCounts> sensitivity_counts
-      ENB_PT_GUARDED_BY(mutex);
-  double exact_activity_sw0 ENB_GUARDED_BY(mutex) = 0.0;
-  bool activity_is_direct ENB_GUARDED_BY(mutex) = false;
-
-  std::atomic<std::size_t> remaining{0};
+  std::atomic<std::size_t> remaining;
   std::atomic<bool> failed{false};
   // Stamped at group creation; assemble() observes the extraction histogram
   // and trace span from it, so the span covers the sharded extraction
   // wall-clock (queueing included) like the serial path's span does.
   std::chrono::steady_clock::time_point started =
       std::chrono::steady_clock::now();
+  util::Mutex mutex;  // guards error and the profile
   std::string error ENB_GUARDED_BY(mutex);
   // Set once by assemble(); dependents read it under the lock in finalize.
   std::optional<core::CircuitProfile> profile ENB_GUARDED_BY(mutex);
@@ -113,70 +81,16 @@ struct ExtractionGroup {
     return error;
   }
 
-  void run_shard(std::size_t shard) {
-    const Circuit& c = circuit.circuit();
-    const std::size_t activity_tasks =
-        plan.direct_activity ? 1 : plan.activity.num_shards();
-    if (shard < activity_tasks) {
-      if (plan.direct_activity) {
-        // The BDD route can still blow up on worst-case structures; fall
-        // back silently to the serial Monte-Carlo estimate, exactly like
-        // core::extract_profile.
-        double sw0 = 0.0;
-        try {
-          sw0 = bdd::exact_activity_bdd(c).avg_gate_toggle_rate;
-        } catch (const bdd::BddLimitExceeded&) {
-          sw0 = sim::estimate_activity(c, profile_activity_options(options),
-                                       Parallelism::serial())
-                    .avg_gate_toggle_rate;
-        }
-        const util::LockGuard lock(mutex);
-        exact_activity_sw0 = sw0;
-        activity_is_direct = true;
-      } else {
-        const sim::ActivityCounts local = sim::activity_shard_counts(
-            c, profile_activity_options(options), plan.activity.shard(shard));
-        const util::LockGuard lock(mutex);
-        activity_counts->merge(local);
-      }
-    } else {
-      const sim::SensitivityCounts local = sim::sensitivity_shard_counts(
-          c, profile_sensitivity_options(options),
-          plan.sensitivity.shard(shard - activity_tasks));
-      const util::LockGuard lock(mutex);
-      sensitivity_counts->merge(local);
-    }
-  }
-
-  // Serial reduction run by whichever worker finishes the last shard; the
-  // result is stored both here (for this batch's dependents) and in the
-  // handle's cache (for every later consumer of the handle).
+  // Run by whichever worker finishes the last task; the profile is stored
+  // both here (for this batch's dependents) and in the handle's cache (for
+  // every later consumer of the handle).
   void assemble() {
-    const Circuit& c = circuit.circuit();
-    const netlist::CircuitStats& stats = circuit.stats();
-    // Uncontended by construction — every shard has completed — but taken
-    // anyway so the accumulator reads check out statically.
-    const util::LockGuard lock(mutex);
-    core::CircuitProfile p;
-    p.name = c.name();
-    p.num_inputs = static_cast<int>(stats.num_inputs);
-    p.num_outputs = static_cast<int>(stats.num_outputs);
-    p.size_s0 = static_cast<double>(stats.num_gates);
-    p.depth_d0 = stats.depth;
-    p.avg_fanin_k = stats.avg_fanin;
-    p.max_fanin = stats.max_fanin;
-    p.avg_activity_sw0 =
-        activity_is_direct
-            ? exact_activity_sw0
-            : sim::finalize_activity(c, profile_activity_options(options),
-                                     *activity_counts)
-                  .avg_gate_toggle_rate;
-    const sim::SensitivityResult sens = sim::finalize_sensitivity(
-        c, profile_sensitivity_options(options), *sensitivity_counts);
-    p.sensitivity_s = std::max(1, sens.sensitivity);
-    p.sensitivity_exact = sens.exact;
+    core::CircuitProfile p = extraction.finish();
     circuit.store_profile(options, p);
-    profile = std::move(p);
+    {
+      const util::LockGuard lock(mutex);
+      profile = std::move(p);
+    }
 
     const auto end = std::chrono::steady_clock::now();
     static obs::Histogram& seconds =
@@ -186,7 +100,7 @@ struct ExtractionGroup {
     if (recorder.enabled()) {
       recorder.record("profile-extraction",
                       obs::SpanHandle{recorder.new_id()}, obs::SpanHandle{},
-                      started, end, c.name());
+                      started, end, circuit.name());
     }
   }
 };
@@ -419,13 +333,19 @@ void prepare_cec(const AnalysisRequest& request,
   };
 }
 
+// The sweep's nested batch runs serially when this batch is serial and on
+// the global pool otherwise — never on a dedicated pool, which would start
+// a pool per concurrent harden job.
 void prepare_harden(const AnalysisRequest& request,
-                    const analysis::HardenRequest& spec, JobState& state) {
+                    const analysis::HardenRequest& spec, JobState& state,
+                    Parallelism how) {
   (void)request.circuit.circuit();  // throws on an empty handle
+  const Parallelism nested = how.threads == 1 ? Parallelism::serial()
+                                              : Parallelism::global_pool();
   state.num_tasks = 1;
-  state.run_task = [&spec](JobState& s, std::size_t) {
+  state.run_task = [&spec, nested](JobState& s, std::size_t) {
     harden::ParetoResult result =
-        harden::pareto_sweep(s.request->circuit, spec.options, Parallelism{});
+        harden::pareto_sweep(s.request->circuit, spec.options, nested);
     const util::LockGuard lock(s.mutex);
     s.harden = std::move(result);
   };
@@ -435,51 +355,18 @@ void prepare_harden(const AnalysisRequest& request,
   };
 }
 
-// Finds or creates the extraction group for (request.circuit, options);
-// validates on creation exactly like core::extract_profile.
+// Finds or creates the extraction group for (request.circuit, options).
 ExtractionGroup& join_extraction_group(
     std::size_t job_index, const AnalysisRequest& request,
     const core::ProfileOptions& options, std::deque<ExtractionGroup>& groups) {
-  const analysis::ProfileKey key = analysis::profile_key(options);
   for (ExtractionGroup& group : groups) {
     if (group.circuit.same_handle(request.circuit) &&
-        analysis::profile_key(group.options) == key) {
+        group.options == options) {
       group.dependents.push_back(job_index);
       return group;
     }
   }
-
-  const Circuit& circuit = request.circuit.circuit();
-  if (circuit.gate_count() == 0) {
-    throw std::invalid_argument(
-        "extract_profile: circuit has no gates to profile");
-  }
-  ProfilePlan plan;
-  plan.direct_activity =
-      options.prefer_exact_activity &&
-      static_cast<int>(circuit.num_inputs()) <=
-          options.exact_activity_max_inputs;
-  std::unique_ptr<sim::ActivityCounts> activity_counts;
-  if (!plan.direct_activity) {
-    const sim::ActivityOptions activity = profile_activity_options(options);
-    sim::validate_activity_inputs(activity);
-    plan.activity = sim::activity_shard_plan(activity);
-    activity_counts =
-        std::make_unique<sim::ActivityCounts>(circuit.node_count());
-  }
-  sim::validate_sensitivity_inputs(circuit,
-                                   profile_sensitivity_options(options));
-  plan.sensitivity = sim::sensitivity_shard_plan(
-      circuit, profile_sensitivity_options(options));
-
-  ExtractionGroup& group = groups.emplace_back();
-  group.circuit = request.circuit;
-  group.options = options;
-  group.plan = plan;
-  group.activity_counts = std::move(activity_counts);
-  group.sensitivity_counts =
-      std::make_unique<sim::SensitivityCounts>(circuit.num_inputs());
-  group.remaining.store(plan.num_shards(), std::memory_order_relaxed);
+  ExtractionGroup& group = groups.emplace_back(request.circuit, options);
   group.dependents.push_back(job_index);
   return group;
 }
@@ -544,7 +431,8 @@ void prepare_profile(std::size_t job_index, const AnalysisRequest& request,
 }
 
 void prepare(std::size_t job_index, const AnalysisRequest& request,
-             JobState& state, std::deque<ExtractionGroup>& groups) {
+             JobState& state, std::deque<ExtractionGroup>& groups,
+             Parallelism how) {
   std::visit(
       [&](const auto& spec) {
         using Spec = std::decay_t<decltype(spec)>;
@@ -571,7 +459,7 @@ void prepare(std::size_t job_index, const AnalysisRequest& request,
           prepare_cec(request, spec, state);
         } else {
           static_assert(std::is_same_v<Spec, analysis::HardenRequest>);
-          prepare_harden(request, spec, state);
+          prepare_harden(request, spec, state, how);
         }
       },
       request.options);
@@ -602,7 +490,7 @@ void BatchEvaluator::run(const ResultSink& sink) {
     states[j].request = &requests_[j];
     states[j].start = std::chrono::steady_clock::now();
     try {
-      prepare(j, requests_[j], states[j], groups);
+      prepare(j, requests_[j], states[j], groups, how_);
     } catch (const std::exception& e) {
       states[j].record_error(e.what());
       states[j].num_tasks = 0;
@@ -692,7 +580,8 @@ void BatchEvaluator::run(const ResultSink& sink) {
   const std::size_t job_total = job_offsets[num_jobs];
   std::vector<std::size_t> group_offsets(groups.size() + 1, 0);
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    group_offsets[g + 1] = group_offsets[g] + groups[g].plan.num_shards();
+    group_offsets[g + 1] =
+        group_offsets[g] + groups[g].extraction.num_tasks();
   }
   const std::size_t total = job_total + group_offsets[groups.size()];
 
@@ -724,7 +613,7 @@ void BatchEvaluator::run(const ResultSink& sink) {
         ExtractionGroup& group = groups[g];
         if (!group.failed.load(std::memory_order_relaxed)) {
           try {
-            group.run_shard(offset - group_offsets[g]);
+            group.extraction.run_task(offset - group_offsets[g]);
           } catch (const std::exception& e) {
             group.record_error(e.what());
           } catch (...) {

@@ -63,9 +63,7 @@ class ThreadPool {
 };
 
 // How a parallel loop maps onto threads — the single knob every layer routes
-// through (the estimator overloads, the batch evaluator, the analysis front
-// door). Per-estimator `Options::threads` members are deprecated in favour of
-// passing one of these explicitly.
+// through (the estimators, profile extraction, the batch evaluator).
 //   threads == 0: use the global pool (default);
 //   threads == 1: run serially on the calling thread;
 //   threads >= 2: run on a dedicated transient pool of that many workers
@@ -83,9 +81,6 @@ struct Parallelism {
     return {n};
   }
 };
-
-// Pre-PR-3 name for Parallelism; prefer the new one in fresh code.
-using ExecPolicy = Parallelism;
 
 // parallel_for under a policy. Serial execution visits indices in order;
 // parallel execution visits them in an arbitrary order, so the body must

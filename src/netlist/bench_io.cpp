@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <fstream>
-#include <functional>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -117,14 +116,29 @@ Circuit read_bench(std::istream& in, std::string name) {
   }
 
   // Resolve definitions depth-first so forward references work; a visit
-  // state of "in progress" means a combinational cycle.
+  // state of "in progress" means a combinational cycle. The DFS keeps its
+  // own stack (netlists can be millions of gates deep) and visits operands
+  // left to right, so node ids are assigned in post-order.
   Circuit circuit(std::move(name));
   std::unordered_map<std::string, NodeId> resolved;
   enum class Visit : std::uint8_t { kFresh, kActive, kDone };
   std::unordered_map<std::string, Visit> state;
+  struct Frame {
+    const std::string* signal;
+    const Definition* def;
+    std::size_t next_operand;
+    std::size_t fanin_base;  // this gate's fanins start here in `fanins`
+  };
+  std::vector<Frame> stack;
+  std::vector<NodeId> fanins;  // resolved operands of every open frame
 
-  const std::function<NodeId(const std::string&, int)> resolve =
-      [&](const std::string& signal, int use_line) -> NodeId {
+  const auto finish = [&](const std::string& signal, NodeId id) {
+    state[signal] = Visit::kDone;
+    resolved.emplace(signal, id);
+  };
+  // Resolves `signal` if it is already known or an input; otherwise opens a
+  // frame for it and returns kInvalidNode.
+  const auto enter = [&](const std::string& signal, int use_line) -> NodeId {
     const auto hit = resolved.find(signal);
     if (hit != resolved.end()) return hit->second;
     const auto def_it = defs.find(signal);
@@ -134,24 +148,43 @@ Circuit read_bench(std::istream& in, std::string name) {
       fail(def.line, "combinational cycle through '" + signal + "'");
     }
     state[signal] = Visit::kActive;
-    NodeId id = kInvalidNode;
     if (def.type == GateType::kInput) {
-      id = circuit.add_input(signal);
-    } else {
-      std::vector<NodeId> fanins;
-      fanins.reserve(def.operands.size());
-      for (const std::string& operand : def.operands) {
-        fanins.push_back(resolve(operand, def.line));
-      }
-      try {
-        id = circuit.add_gate(def.type, std::move(fanins));
-      } catch (const std::invalid_argument& e) {
-        fail(def.line, e.what());
-      }
-      circuit.set_node_name(id, signal);
+      const NodeId id = circuit.add_input(signal);
+      finish(signal, id);
+      return id;
     }
-    state[signal] = Visit::kDone;
-    resolved.emplace(signal, id);
+    stack.push_back(Frame{&def_it->first, &def, 0, fanins.size()});
+    return kInvalidNode;
+  };
+  const auto resolve = [&](const std::string& root, int use_line) -> NodeId {
+    NodeId id = enter(root, use_line);
+    while (id == kInvalidNode) {
+      Frame& top = stack.back();
+      if (top.next_operand < top.def->operands.size()) {
+        const NodeId operand =
+            enter(top.def->operands[top.next_operand++], top.def->line);
+        if (operand != kInvalidNode) fanins.push_back(operand);
+        continue;
+      }
+      std::vector<NodeId> gate_fanins(
+          fanins.begin() + static_cast<std::ptrdiff_t>(top.fanin_base),
+          fanins.end());
+      fanins.resize(top.fanin_base);
+      NodeId gate = kInvalidNode;
+      try {
+        gate = circuit.add_gate(top.def->type, std::move(gate_fanins));
+      } catch (const std::invalid_argument& e) {
+        fail(top.def->line, e.what());
+      }
+      circuit.set_node_name(gate, *top.signal);
+      finish(*top.signal, gate);
+      stack.pop_back();
+      if (stack.empty()) {
+        id = gate;
+      } else {
+        fanins.push_back(gate);
+      }
+    }
     return id;
   };
 

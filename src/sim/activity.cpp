@@ -125,12 +125,6 @@ ActivityResult estimate_activity(const Circuit& circuit,
   return finalize_activity(circuit, options, totals);
 }
 
-ActivityResult estimate_activity(const Circuit& circuit,
-                                 const ActivityOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return estimate_activity(circuit, options, how);
-}
-
 ActivityResult exact_activity(const Circuit& circuit) {
   const int n = static_cast<int>(circuit.num_inputs());
   const std::uint64_t total = std::uint64_t{1} << n;  // guarded below

@@ -36,21 +36,13 @@ struct ActivityOptions {
   // seeded by (seed, i), so the estimate is bit-identical for every thread
   // count.
   std::size_t shard_pairs = 256;
-  // Deprecated dual knob: only the two-argument estimate_activity overload
-  // still honours it. Route thread control through the exec::Parallelism
-  // parameter instead.
-  unsigned threads = 0;
 };
 
 // Monte-Carlo estimate over random vector pairs, parallelized per `how`
 // (results are bit-identical for any thread count).
-[[nodiscard]] ActivityResult estimate_activity(const netlist::Circuit& circuit,
-                                               const ActivityOptions& options,
-                                               exec::Parallelism how);
-
-// Deprecated-knob form: honours options.threads.
 [[nodiscard]] ActivityResult estimate_activity(
-    const netlist::Circuit& circuit, const ActivityOptions& options = {});
+    const netlist::Circuit& circuit, const ActivityOptions& options = {},
+    exec::Parallelism how = {});
 
 // ---- shard-level building blocks -----------------------------------------
 //

@@ -152,10 +152,4 @@ ActivityResult estimate_noisy_activity(const Circuit& circuit, double epsilon,
   return result;
 }
 
-ActivityResult estimate_noisy_activity(const Circuit& circuit, double epsilon,
-                                       const ActivityOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return estimate_noisy_activity(circuit, epsilon, options, how);
-}
-
 }  // namespace enb::sim

@@ -58,11 +58,6 @@ class NoisySim {
 // (per-node toggle rates, per-gate average = the paper's sw_eps).
 [[nodiscard]] ActivityResult estimate_noisy_activity(
     const netlist::Circuit& circuit, double epsilon,
-    const ActivityOptions& options, exec::Parallelism how);
-
-// Deprecated-knob form: honours options.threads.
-[[nodiscard]] ActivityResult estimate_noisy_activity(
-    const netlist::Circuit& circuit, double epsilon,
-    const ActivityOptions& options = {});
+    const ActivityOptions& options = {}, exec::Parallelism how = {});
 
 }  // namespace enb::sim

@@ -135,23 +135,9 @@ ReliabilityResult estimate_reliability_vs(const Circuit& noisy,
   return result;
 }
 
-ReliabilityResult estimate_reliability_vs(const Circuit& noisy,
-                                          const Circuit& golden,
-                                          double epsilon,
-                                          const ReliabilityOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return estimate_reliability_vs(noisy, golden, epsilon, options, how);
-}
-
 ReliabilityResult estimate_reliability(const Circuit& circuit, double epsilon,
                                        const ReliabilityOptions& options,
                                        exec::Parallelism how) {
-  return estimate_reliability_vs(circuit, circuit, epsilon, options, how);
-}
-
-ReliabilityResult estimate_reliability(const Circuit& circuit, double epsilon,
-                                       const ReliabilityOptions& options) {
-  const exec::Parallelism how{options.threads};
   return estimate_reliability_vs(circuit, circuit, epsilon, options, how);
 }
 
@@ -238,13 +224,6 @@ WorstCaseResult estimate_worst_case_reliability(
       },
       how);
   return finalize_worst_case(noisy, options, sample_failures);
-}
-
-WorstCaseResult estimate_worst_case_reliability(
-    const Circuit& noisy, const Circuit& golden, double epsilon,
-    const WorstCaseOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return estimate_worst_case_reliability(noisy, golden, epsilon, options, how);
 }
 
 }  // namespace enb::sim

@@ -40,9 +40,6 @@ struct ReliabilityOptions {
   // private fault-injection stream) from a counter-based stream of (seed, i),
   // so delta_hat is bit-identical for every thread count.
   std::uint64_t shard_passes = 32;
-  // Deprecated dual knob: only the estimator overloads without an
-  // exec::Parallelism parameter still honour it.
-  unsigned threads = 0;
 };
 
 // 95% Wilson score interval for `successes` out of `trials`.
@@ -80,24 +77,15 @@ void validate_reliability_inputs(const netlist::Circuit& noisy,
 // probability `epsilon`, parallelized per `how`.
 [[nodiscard]] ReliabilityResult estimate_reliability(
     const netlist::Circuit& circuit, double epsilon,
-    const ReliabilityOptions& options, exec::Parallelism how);
-
-// Deprecated-knob form: honours options.threads.
-[[nodiscard]] ReliabilityResult estimate_reliability(
-    const netlist::Circuit& circuit, double epsilon,
-    const ReliabilityOptions& options = {});
+    const ReliabilityOptions& options = {}, exec::Parallelism how = {});
 
 // Estimates δ when `noisy` (a redundant implementation) must reproduce
 // `golden`'s input/output behaviour; the two circuits must agree on input
 // and output counts (inputs matched positionally).
 [[nodiscard]] ReliabilityResult estimate_reliability_vs(
     const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const ReliabilityOptions& options, exec::Parallelism how);
-
-// Deprecated-knob form: honours options.threads.
-[[nodiscard]] ReliabilityResult estimate_reliability_vs(
-    const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const ReliabilityOptions& options = {});
+    double epsilon, const ReliabilityOptions& options = {},
+    exec::Parallelism how = {});
 
 // Worst-case-input reliability. The theorems' δ quantifies over *every*
 // input ("with probability 1−δ, the output of the circuit is correct"), so
@@ -108,13 +96,11 @@ void validate_reliability_inputs(const netlist::Circuit& noisy,
 struct WorstCaseOptions {
   std::uint64_t num_inputs = 64;        // sampled input vectors
   std::uint64_t trials_per_input = 1 << 12;  // noise draws per vector
+  // Each sampled input draws from its own counter-based stream of
+  // (seed, sample), so the inputs run in parallel; the argmax reduction
+  // happens serially in sample order, keeping the result thread-count
+  // independent.
   std::uint64_t seed = 0xBAD1;
-  // Deprecated dual knob: only the estimator overload without an
-  // exec::Parallelism parameter still honours it. Sampled inputs are
-  // independent, so each gets its own counter-based stream and they run in
-  // parallel; the argmax reduction happens serially in sample order, keeping
-  // the result thread-count independent.
-  unsigned threads = 0;
 };
 
 struct WorstCaseResult {
@@ -125,12 +111,8 @@ struct WorstCaseResult {
 
 [[nodiscard]] WorstCaseResult estimate_worst_case_reliability(
     const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const WorstCaseOptions& options, exec::Parallelism how);
-
-// Deprecated-knob form: honours options.threads.
-[[nodiscard]] WorstCaseResult estimate_worst_case_reliability(
-    const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const WorstCaseOptions& options = {});
+    double epsilon, const WorstCaseOptions& options = {},
+    exec::Parallelism how = {});
 
 // Shard-level building blocks of the worst-case estimator (see the
 // reliability block above for the contract). Throws like

@@ -177,10 +177,4 @@ SensitivityResult compute_sensitivity(const Circuit& circuit,
   return finalize_sensitivity(circuit, options, totals);
 }
 
-SensitivityResult compute_sensitivity(const Circuit& circuit,
-                                      const SensitivityOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return compute_sensitivity(circuit, options, how);
-}
-
 }  // namespace enb::sim

@@ -37,18 +37,11 @@ struct SensitivityOptions {
   // the truth-table blocks. Influence counts merge by sum and sensitivity by
   // max, so results are thread-count independent.
   std::uint64_t shard_words = 32;
-  // Deprecated dual knob: only the compute_sensitivity overload without an
-  // exec::Parallelism parameter still honours it.
-  unsigned threads = 0;
 };
 
 [[nodiscard]] SensitivityResult compute_sensitivity(
-    const netlist::Circuit& circuit, const SensitivityOptions& options,
-    exec::Parallelism how);
-
-// Deprecated-knob form: honours options.threads.
-[[nodiscard]] SensitivityResult compute_sensitivity(
-    const netlist::Circuit& circuit, const SensitivityOptions& options = {});
+    const netlist::Circuit& circuit, const SensitivityOptions& options = {},
+    exec::Parallelism how = {});
 
 // ---- shard-level building blocks -----------------------------------------
 //

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "netlist/stats.hpp"
 
 namespace enb::netlist {
@@ -112,6 +116,69 @@ OUTPUT(x)
 x = NOT(a, b)
 )"),
                BenchParseError);
+}
+
+// Node ids follow the resolution order: inputs in declaration order, then
+// each output's definitions depth-first with operands left to right, then
+// dangling definitions.
+TEST(BenchIo, AssignsNodeIdsInResolutionOrder) {
+  const Circuit c = read_bench_string(R"(
+INPUT(a)
+INPUT(b)
+OUTPUT(y)
+OUTPUT(z)
+y = AND(m, n)
+n = OR(a, m)
+m = NOT(b)
+z = XOR(y, q)
+q = BUFF(a)
+extra = NOT(a)
+)");
+  const std::vector<std::string> expected = {"a", "b", "m", "n",
+                                             "y", "q", "z", "extra"};
+  ASSERT_EQ(c.node_count(), expected.size());
+  for (NodeId id = 0; id < c.node_count(); ++id) {
+    EXPECT_EQ(c.node_name(id), expected[id]) << "node " << id;
+  }
+  const auto y_fanins = c.fanins(c.outputs()[0]);
+  EXPECT_EQ(std::vector<NodeId>(y_fanins.begin(), y_fanins.end()),
+            (std::vector<NodeId>{2, 3}));
+}
+
+std::string parse_error(const std::string& text) {
+  try {
+    (void)read_bench_string(text);
+  } catch (const BenchParseError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(BenchIo, ErrorsNameTheOffendingLine) {
+  // An undefined operand is reported at the line that uses it.
+  EXPECT_EQ(parse_error("INPUT(a)\nOUTPUT(y)\ny = AND(a, m)\n"
+                        "m = NOT(b)\n"),
+            "bench parse error at line 4: undefined signal 'b'");
+  // A cycle is reported at the definition that closes it.
+  EXPECT_EQ(parse_error("INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = NOT(x)\n"),
+            "bench parse error at line 3: combinational cycle through 'x'");
+  // An illegal arity is reported at the gate's definition.
+  EXPECT_EQ(parse_error("INPUT(a)\nINPUT(b)\nOUTPUT(x)\nx = NOT(a, b)\n"),
+            "bench parse error at line 4: add_gate: arity 2 illegal for NOT");
+}
+
+// Resolution keeps its own stack, so nesting depth is bounded by memory,
+// not by the call stack.
+TEST(BenchIo, ParsesAMillionGateDeepChain) {
+  constexpr int kDepth = 1000000;
+  std::ostringstream text;
+  text << "INPUT(a)\nOUTPUT(g" << kDepth << ")\ng1 = NOT(a)\n";
+  for (int i = 2; i <= kDepth; ++i) {
+    text << 'g' << i << " = NOT(g" << i - 1 << ")\n";
+  }
+  const Circuit c = read_bench_string(text.str());
+  EXPECT_EQ(c.node_count(), static_cast<std::size_t>(kDepth) + 1);
+  EXPECT_EQ(compute_stats(c).depth, kDepth);
 }
 
 TEST(BenchIo, RoundTrip) {

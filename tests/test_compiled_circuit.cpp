@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/profile.hpp"
+#include "exec/thread_pool.hpp"
 #include "gen/adders.hpp"
 #include "gen/iscas.hpp"
 #include "gen/suite.hpp"
@@ -140,6 +142,28 @@ TEST(CompiledCircuit, ConcurrentProfileCallsExtractOnce) {
   EXPECT_EQ(handle.profile_extractions(), 1u);
 }
 
+// A cache miss whose extraction waits for a busy pool must not hold the
+// handle: a task of the job occupying the pool may read the same handle's
+// cache (a served profile request racing a harden job over one circuit).
+TEST(CompiledCircuit, ExtractionWaitingForThePoolLeavesTheCacheReadable) {
+  const CompiledCircuit handle = compile(gen::c17());
+  core::ProfileOptions other;
+  other.seed = 99;
+  std::thread extractor;
+  exec::ThreadPool::global().parallel_for(2, [&](std::size_t task) {
+    if (task != 0) return;
+    // c17's extraction has two tasks, so it needs the pool this job holds.
+    extractor = std::thread([&handle] {
+      (void)handle.profile({}, exec::Parallelism::global_pool());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(handle.cached_profile(other).has_value());
+  });
+  extractor.join();
+  EXPECT_TRUE(handle.cached_profile({}).has_value());
+  EXPECT_EQ(handle.profile_extractions(), 1u);
+}
+
 TEST(CompiledCircuit, MappedVariantIsCachedAndEquivalent) {
   const CompiledCircuit handle = compile(gen::c17());
   const CompiledCircuit mapped = handle.mapped(3);
@@ -163,13 +187,12 @@ TEST(CompiledCircuit, MappedVariantIsCachedAndEquivalent) {
   EXPECT_LE(mapped2.stats().max_fanin, 2);
 }
 
-TEST(ProfileKeyTest, ThreadsNeverEntersTheKey) {
+TEST(ProfileCacheKey, SeedChangesTheKey) {
   core::ProfileOptions a;
   core::ProfileOptions b;
-  b.threads = 64;  // deprecated knob; never value-relevant
-  EXPECT_EQ(profile_key(a), profile_key(b));
+  EXPECT_EQ(a, b);
   b.seed = a.seed + 1;
-  EXPECT_FALSE(profile_key(a) == profile_key(b));
+  EXPECT_FALSE(a == b);
 }
 
 }  // namespace

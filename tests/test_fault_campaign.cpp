@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
 #include "exec/batch.hpp"
@@ -121,20 +120,18 @@ TEST(FaultCampaign, BatchMatchesDirectEvaluate) {
   spec.options.sample = 80;
   request.options = spec;
 
-  const analysis::AnalysisResult direct = analysis::evaluate(request);
-  ASSERT_TRUE(direct.ok) << direct.error;
+  const FaultCampaignResult direct =
+      run_campaign(nmr.circuit(), &base.circuit(), spec.options);
 
   exec::BatchEvaluator batch;
   batch.submit(request);
   const std::vector<analysis::AnalysisResult> results = batch.run();
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].ok) << results[0].error;
-  EXPECT_EQ(results[0].metrics, direct.metrics);
-  const auto* direct_payload = direct.get<FaultCampaignResult>();
+  EXPECT_EQ(results[0].metrics, analysis::flatten_metrics(direct));
   const auto* batch_payload = results[0].get<FaultCampaignResult>();
-  ASSERT_NE(direct_payload, nullptr);
   ASSERT_NE(batch_payload, nullptr);
-  EXPECT_EQ(*direct_payload, *batch_payload);
+  EXPECT_EQ(direct, *batch_payload);
 }
 
 TEST(FaultCampaign, BatchIsolatesInvalidCampaigns) {

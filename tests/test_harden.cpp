@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/campaign.hpp"
@@ -27,6 +28,7 @@
 #include "harden/transform.hpp"
 #include "harden/types.hpp"
 #include "netlist/circuit.hpp"
+#include "obs/metrics.hpp"
 #include "sim/logic_sim.hpp"
 
 namespace enb::harden {
@@ -273,6 +275,26 @@ TEST(Harden, SweepIsBitIdenticalForAnyThreadCount) {
   EXPECT_EQ(
       pareto_sweep(handle, SweepOptions{}, exec::Parallelism::dedicated(8)),
       baseline);
+}
+
+// A serial front-door evaluation stays serial all the way down: the sweep's
+// nested batch must not fall back to the global pool.
+TEST(Harden, SerialEvaluateNeverSubmitsToAPool) {
+  analysis::AnalysisRequest request;
+  request.name = "harden-c17";
+  request.circuit = analysis::compile(gen::c17());
+  analysis::HardenRequest spec;
+  spec.options.style = Style::kTmr;
+  spec.options.campaign.patterns = 64;
+  request.options = spec;
+
+  const obs::Counter& pool_jobs =
+      obs::Registry::global().counter("exec-parallel-jobs-total");
+  const std::uint64_t before = pool_jobs.value();
+  const analysis::AnalysisResult result =
+      analysis::evaluate(request, exec::Parallelism::serial());
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(pool_jobs.value(), before);
 }
 
 TEST(Harden, RebuildCandidateRegeneratesAProvedWinner) {
