@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "netlist/stats.hpp"
 #include "sim/exhaustive.hpp"
 #include "sim/logic_sim.hpp"
@@ -28,6 +30,10 @@ struct MultiplierKind {
   const char* name;
   Circuit (*build)(int);
 };
+
+// Prints the case name, so the listed test name does not carry the struct's
+// raw pointer bytes (which change with every address-space layout).
+void PrintTo(const MultiplierKind& kind, std::ostream* os) { *os << kind.name; }
 
 class MultiplierTest : public ::testing::TestWithParam<MultiplierKind> {};
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "bdd/bdd_analysis.hpp"
 #include "gen/adders.hpp"
@@ -23,6 +24,10 @@ struct NamedCircuit {
   const char* name;
   netlist::Circuit (*build)();
 };
+
+// Prints the case name, so the listed test name does not carry the struct's
+// raw pointer bytes (which change with every address-space layout).
+void PrintTo(const NamedCircuit& kind, std::ostream* os) { *os << kind.name; }
 
 class BddVsSimTest : public ::testing::TestWithParam<NamedCircuit> {};
 
