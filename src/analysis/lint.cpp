@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -408,47 +407,61 @@ void scan_line(SourceScan& scan, std::string_view line, int number) {
 }
 
 // Depth-first search over the gate-definition graph; reports each back edge
-// as one cycle diagnostic carrying the full "a -> b -> a" path.
+// as one cycle diagnostic carrying the full "a -> b -> a" path. The search
+// keeps its path on an explicit stack, so a netlist of any depth cannot
+// overflow the call stack; nets and fanins are visited in the order of a
+// recursive walk.
 void find_cycles(const SourceScan& scan,
                  std::vector<LintDiagnostic>& errors) {
   enum class Visit : std::uint8_t { kFresh, kActive, kDone };
   std::map<std::string, Visit> state;
-  std::vector<std::string> path;
+  // One frame per net on the current path: the net, its fanins (null for a
+  // net no gate defines) and the next fanin to look at.
+  struct Frame {
+    const std::string* net;
+    const std::vector<std::string>* fanins;
+    std::size_t next;
+  };
+  std::vector<Frame> path;
+  const auto enter = [&](const std::string& net) {
+    state[net] = Visit::kActive;
+    const auto it = scan.gate_fanins.find(net);
+    path.push_back(
+        {&net, it == scan.gate_fanins.end() ? nullptr : &it->second, 0});
+  };
 
-  const std::function<void(const std::string&)> visit =
-      [&](const std::string& net) {
-        state[net] = Visit::kActive;
-        path.push_back(net);
-        const auto it = scan.gate_fanins.find(net);
-        if (it != scan.gate_fanins.end()) {
-          for (const std::string& fanin : it->second) {
-            const auto seen = state.find(fanin);
-            const Visit mark =
-                seen == state.end() ? Visit::kFresh : seen->second;
-            if (mark == Visit::kFresh) {
-              visit(fanin);
-            } else if (mark == Visit::kActive) {
-              std::string rendered;
-              for (auto at = std::find(path.begin(), path.end(), fanin);
-                   at != path.end(); ++at) {
-                rendered += *at;
-                rendered += " -> ";
-              }
-              rendered += fanin;
-              add(errors, LintSeverity::kError, LintRule::kCycle, fanin,
-                  "combinational cycle: " + rendered);
-            }
-          }
-        }
+  for (const auto& [root, root_fanins] : scan.gate_fanins) {
+    (void)root_fanins;
+    if (const auto it = state.find(root);
+        it != state.end() && it->second != Visit::kFresh) {
+      continue;
+    }
+    enter(root);
+    while (!path.empty()) {
+      Frame& top = path.back();
+      if (top.fanins == nullptr || top.next == top.fanins->size()) {
+        state[*top.net] = Visit::kDone;
         path.pop_back();
-        state[net] = Visit::kDone;
-      };
-
-  for (const auto& [net, fanins] : scan.gate_fanins) {
-    (void)fanins;
-    if (const auto it = state.find(net);
-        it == state.end() || it->second == Visit::kFresh) {
-      visit(net);
+        continue;
+      }
+      const std::string& fanin = (*top.fanins)[top.next++];
+      const auto seen = state.find(fanin);
+      const Visit mark = seen == state.end() ? Visit::kFresh : seen->second;
+      if (mark == Visit::kFresh) {
+        enter(fanin);
+      } else if (mark == Visit::kActive) {
+        std::string rendered;
+        for (auto at = std::find_if(
+                 path.begin(), path.end(),
+                 [&](const Frame& frame) { return *frame.net == fanin; });
+             at != path.end(); ++at) {
+          rendered += *at->net;
+          rendered += " -> ";
+        }
+        rendered += fanin;
+        add(errors, LintSeverity::kError, LintRule::kCycle, fanin,
+            "combinational cycle: " + rendered);
+      }
     }
   }
 }

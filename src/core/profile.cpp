@@ -30,6 +30,7 @@ sim::SensitivityOptions sensitivity_options_of(const ProfileOptions& options) {
 ProfileExtraction::ProfileExtraction(const netlist::Circuit& circuit,
                                      const ProfileOptions& options)
     : circuit_(circuit),
+      flat_(circuit),
       activity_options_(activity_options_of(options)),
       sensitivity_options_(sensitivity_options_of(options)),
       exact_activity_(options.prefer_exact_activity &&
@@ -53,7 +54,7 @@ ProfileExtraction::ProfileExtraction(const netlist::Circuit& circuit,
 void ProfileExtraction::run_task(std::size_t task) {
   if (task >= activity_tasks()) {
     const sim::SensitivityCounts local = sim::sensitivity_shard_counts(
-        circuit_, sensitivity_options_,
+        flat_, sensitivity_options_,
         sensitivity_plan_.shard(task - activity_tasks()));
     const util::LockGuard lock(mutex_);
     sensitivity_counts_.merge(local);
@@ -72,7 +73,7 @@ void ProfileExtraction::run_task(std::size_t task) {
     exact_sw0_ = sw0;
   } else {
     const sim::ActivityCounts local = sim::activity_shard_counts(
-        circuit_, activity_options_, activity_plan_.shard(task));
+        flat_, activity_options_, activity_plan_.shard(task));
     const util::LockGuard lock(mutex_);
     activity_counts_.merge(local);
   }

@@ -12,6 +12,7 @@
 #include "exec/thread_pool.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/activity.hpp"
+#include "sim/flat_circuit.hpp"
 #include "sim/sensitivity.hpp"
 #include "util/sync.hpp"
 
@@ -87,6 +88,7 @@ class ProfileExtraction {
   }
 
   const netlist::Circuit& circuit_;
+  sim::FlatCircuit flat_;  // shared read-only by every simulation task
   sim::ActivityOptions activity_options_;
   sim::SensitivityOptions sensitivity_options_;
   bool exact_activity_ = false;  // one BDD task instead of activity shards

@@ -230,9 +230,11 @@ void prepare_activity(const AnalysisRequest& request,
   state.activity_counts = std::make_unique<sim::ActivityCounts>(
       request.circuit.circuit().node_count());
   state.num_tasks = plan.num_shards();
-  state.run_task = [plan, &spec](JobState& s, std::size_t shard) {
-    const sim::ActivityCounts local = sim::activity_shard_counts(
-        s.request->circuit.circuit(), spec.options, plan.shard(shard));
+  auto flat =
+      std::make_shared<const sim::FlatCircuit>(request.circuit.circuit());
+  state.run_task = [plan, flat, &spec](JobState& s, std::size_t shard) {
+    const sim::ActivityCounts local =
+        sim::activity_shard_counts(*flat, spec.options, plan.shard(shard));
     const util::LockGuard lock(s.mutex);
     s.activity_counts->merge(local);
   };
@@ -253,9 +255,11 @@ void prepare_sensitivity(const AnalysisRequest& request,
   state.sensitivity_counts = std::make_unique<sim::SensitivityCounts>(
       request.circuit.circuit().num_inputs());
   state.num_tasks = plan.num_shards();
-  state.run_task = [plan, &spec](JobState& s, std::size_t shard) {
-    const sim::SensitivityCounts local = sim::sensitivity_shard_counts(
-        s.request->circuit.circuit(), spec.options, plan.shard(shard));
+  auto flat =
+      std::make_shared<const sim::FlatCircuit>(request.circuit.circuit());
+  state.run_task = [plan, flat, &spec](JobState& s, std::size_t shard) {
+    const sim::SensitivityCounts local =
+        sim::sensitivity_shard_counts(*flat, spec.options, plan.shard(shard));
     const util::LockGuard lock(s.mutex);
     s.sensitivity_counts->merge(local);
   };

@@ -10,62 +10,10 @@
 
 namespace enb::fault {
 
-namespace {
-
 using netlist::Circuit;
 using netlist::GateType;
 using netlist::NodeId;
 using sim::Word;
-
-// Lane-generic gate evaluation mirroring netlist::eval_word bit for bit in
-// every lane (same folds, same arity rules). Kept local: the lane container
-// is an implementation detail of this engine.
-template <typename V>
-V eval_lanes(GateType type, std::span<const V> inputs) {
-  const auto [min_arity, max_arity] = netlist::arity_range(type);
-  const int n = static_cast<int>(inputs.size());
-  if (n < min_arity || n > max_arity) {
-    throw std::invalid_argument("eval_lanes: bad arity " + std::to_string(n) +
-                                " for gate " +
-                                std::string(netlist::to_string(type)));
-  }
-  switch (type) {
-    case GateType::kInput:
-      throw std::invalid_argument("eval_lanes: kInput has no evaluation rule");
-    case GateType::kConst0:
-      return V{};
-    case GateType::kConst1:
-      return ~V{};
-    case GateType::kBuf:
-      return inputs[0];
-    case GateType::kNot:
-      return ~inputs[0];
-    case GateType::kAnd:
-    case GateType::kNand: {
-      V acc = ~V{};
-      for (const V& w : inputs) acc &= w;
-      return type == GateType::kAnd ? acc : ~acc;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      V acc = V{};
-      for (const V& w : inputs) acc |= w;
-      return type == GateType::kOr ? acc : ~acc;
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      V acc = V{};
-      for (const V& w : inputs) acc ^= w;
-      return type == GateType::kXor ? acc : ~acc;
-    }
-    case GateType::kMaj:
-      return (inputs[0] & inputs[1]) | (inputs[0] & inputs[2]) |
-             (inputs[1] & inputs[2]);
-  }
-  throw std::invalid_argument("eval_lanes: unknown gate type");
-}
-
-}  // namespace
 
 void validate_bundle_interface(const Circuit& circuit, int bundle_width) {
   if (bundle_width != 1 && (bundle_width < 3 || bundle_width % 2 == 0)) {
@@ -93,7 +41,7 @@ void validate_bundle_interface(const Circuit& circuit, int bundle_width) {
 template <typename V>
 LaneFaultSim<V>::LaneFaultSim(const Circuit& circuit,
                               const FaultUniverse& universe, int bundle_width)
-    : circuit_(&circuit),
+    : flat_(circuit),
       universe_(&universe),
       bundle_width_(bundle_width),
       values_(circuit.node_count(), V{}),
@@ -128,7 +76,7 @@ V LaneFaultSim<V>::block_mask(std::size_t block) const {
 
 template <typename V>
 V LaneFaultSim<V>::decode_output(std::size_t o) {
-  const std::span<const NodeId> outputs = circuit_->outputs();
+  const std::span<const NodeId> outputs = flat_.outputs();
   const auto width = static_cast<std::size_t>(bundle_width_);
   if (width == 1) return values_[outputs[o]];
   bundle_counter_.reset();
@@ -142,12 +90,11 @@ template <typename V>
 V LaneFaultSim<V>::detect_block(std::size_t block,
                                 const std::vector<bool>& pattern,
                                 const std::vector<bool>& expected) {
-  const Circuit& circuit = *circuit_;
   const auto width = static_cast<std::size_t>(bundle_width_);
-  if (pattern.size() * width != circuit.num_inputs()) {
+  if (pattern.size() * width != flat_.num_inputs()) {
     throw std::invalid_argument("fault: pattern size mismatch");
   }
-  if (expected.size() * width != circuit.num_outputs()) {
+  if (expected.size() * width != flat_.num_outputs()) {
     throw std::invalid_argument("fault: expected-output size mismatch");
   }
   if (block >= num_blocks()) {
@@ -170,29 +117,13 @@ V LaneFaultSim<V>::detect_block(std::size_t block,
   // One linear sweep (ids are topological by construction), forcing applied
   // at every node so faults on inputs and constants inject exactly like
   // gate-output faults.
-  for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    V value = V{};
-    switch (node.type) {
-      case GateType::kInput:
-        value = lane_broadcast<V>(
-            pattern[static_cast<std::size_t>(circuit.input_index(id)) / width]);
-        break;
-      case GateType::kConst0:
-        value = V{};
-        break;
-      case GateType::kConst1:
-        value = ~V{};
-        break;
-      default: {
-        fanin_buffer_.clear();
-        for (const NodeId fanin : node.fanins) {
-          fanin_buffer_.push_back(values_[fanin]);
-        }
-        value = eval_lanes<V>(node.type, fanin_buffer_);
-        break;
-      }
-    }
+  for (NodeId id = 0; id < flat_.node_count(); ++id) {
+    const V value =
+        flat_.kind(id) == GateType::kInput
+            ? lane_broadcast<V>(
+                  pattern[static_cast<std::size_t>(flat_.input_slot(id)) /
+                          width])
+            : sim::eval_gate(flat_, id, values_.data());
     values_[id] = (value & ~force0_[id]) | force1_[id];
   }
   // Normalized pass accounting: a sweep over `lanes` active lanes costs the
@@ -204,7 +135,7 @@ V LaneFaultSim<V>::detect_block(std::size_t block,
   // Decode each logical output's bundle per lane and compare against the
   // expected fault-free bit; any difference marks the lane detected.
   V detected = V{};
-  const std::size_t logical_outputs = circuit.outputs().size() / width;
+  const std::size_t logical_outputs = flat_.num_outputs() / width;
   for (std::size_t o = 0; o < logical_outputs; ++o) {
     detected |= decode_output(o) ^ lane_broadcast<V>(expected[o]);
   }
@@ -222,7 +153,7 @@ void LaneFaultSim<V>::first_outputs(std::size_t block, V lanes,
                                     const std::vector<bool>& expected,
                                     std::vector<std::uint32_t>& out) {
   const auto width = static_cast<std::size_t>(bundle_width_);
-  const std::size_t logical_outputs = circuit_->outputs().size() / width;
+  const std::size_t logical_outputs = flat_.num_outputs() / width;
   out.assign(static_cast<std::size_t>(kLanesPerBlock), kNoOutput);
   lanes &= block_mask(block);
   V remaining = lanes;

@@ -5,8 +5,9 @@
 //
 //   LaneFaultSim<V>   packs one *fault* per lane of the lane container V
 //                     (sim::Word = 64 lanes, LaneVec128/256/512 = wider, see
-//                     lanes.hpp): one linear sweep of the circuit evaluates
-//                     one pattern under every fault of the block
+//                     lanes.hpp): one linear sweep of the circuit, through
+//                     the shared sim::eval_gate kernel, evaluates one
+//                     pattern under every fault of the block
 //                     simultaneously. The simulated set is an explicit
 //                     *active list* of class indices (default: the whole
 //                     universe), which is what fault dropping and sampled
@@ -49,6 +50,7 @@
 #include "fault/lanes.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/bitpack.hpp"
+#include "sim/flat_circuit.hpp"
 
 namespace enb::fault {
 
@@ -102,14 +104,13 @@ class LaneFaultSim {
   // Decoded value of logical output `o` for every lane of the last sweep.
   [[nodiscard]] V decode_output(std::size_t o);
 
-  const netlist::Circuit* circuit_;
+  sim::FlatCircuit flat_;
   const FaultUniverse* universe_;
   int bundle_width_;
   std::vector<std::uint32_t> active_;  // lane order: class of block*W + L
   std::vector<V> values_;
   std::vector<V> force0_;  // per node: lanes forced to 0 this block
   std::vector<V> force1_;  // per node: lanes forced to 1 this block
-  std::vector<V> fanin_buffer_;
   VecLaneCounter<V> bundle_counter_;  // reused across detect_block calls
   std::uint64_t passes_ = 0;
 };

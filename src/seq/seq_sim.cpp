@@ -12,6 +12,7 @@ using sim::Word;
 
 SeqSim::SeqSim(const SeqCircuit& seq)
     : seq_(&seq),
+      core_(seq.core()),
       state_(seq.num_latches(), 0),
       values_(seq.core().node_count(), 0) {
   seq.validate();
@@ -26,32 +27,29 @@ void SeqSim::reset() {
 
 void SeqSim::eval_core(std::span<const Word> free_input_words,
                        sim::Xoshiro256* noise_rng) {
-  const netlist::Circuit& core = seq_->core();
   const std::vector<NodeId> free = seq_->free_inputs();
   if (free_input_words.size() != free.size()) {
     throw std::invalid_argument("SeqSim::step: free input count mismatch");
   }
   // Scatter input words: latch outputs from state, free inputs from caller.
-  core_inputs_.assign(core.num_inputs(), 0);
+  core_inputs_.assign(core_.num_inputs(), 0);
   for (std::size_t l = 0; l < seq_->num_latches(); ++l) {
     core_inputs_[static_cast<std::size_t>(
-        core.input_index(seq_->latches()[l].state_output))] = state_[l];
+        core_.input_slot(seq_->latches()[l].state_output))] = state_[l];
   }
   for (std::size_t i = 0; i < free.size(); ++i) {
-    core_inputs_[static_cast<std::size_t>(core.input_index(free[i]))] =
+    core_inputs_[static_cast<std::size_t>(core_.input_slot(free[i]))] =
         free_input_words[i];
   }
-  for (NodeId id = 0; id < core.node_count(); ++id) {
-    const auto& node = core.node(id);
-    if (node.type == GateType::kInput) {
+  for (NodeId id = 0; id < core_.node_count(); ++id) {
+    const GateType kind = core_.kind(id);
+    if (kind == GateType::kInput) {
       values_[id] =
-          core_inputs_[static_cast<std::size_t>(core.input_index(id))];
+          core_inputs_[static_cast<std::size_t>(core_.input_slot(id))];
       continue;
     }
-    fanin_buffer_.clear();
-    for (NodeId f : node.fanins) fanin_buffer_.push_back(values_[f]);
-    Word v = netlist::eval_word(node.type, fanin_buffer_);
-    if (noise_rng != nullptr && counts_as_gate(node.type) && epsilon_ > 0.0) {
+    Word v = sim::eval_gate(core_, id, values_.data());
+    if (noise_rng != nullptr && counts_as_gate(kind) && epsilon_ > 0.0) {
       v ^= sim::bernoulli_word(*noise_rng, epsilon_);
     }
     values_[id] = v;

@@ -9,6 +9,7 @@
 
 #include "seq/seq_circuit.hpp"
 #include "sim/bitpack.hpp"
+#include "sim/flat_circuit.hpp"
 #include "sim/prng.hpp"
 #include "sim/reliability.hpp"
 
@@ -33,10 +34,10 @@ class SeqSim {
 
  private:
   const SeqCircuit* seq_;
+  sim::FlatCircuit core_;  // flat form of seq_->core()
   std::vector<sim::Word> state_;
   std::vector<sim::Word> core_inputs_;
   std::vector<sim::Word> values_;
-  std::vector<sim::Word> fanin_buffer_;
   bool noisy_ = false;
   double epsilon_ = 0.0;
   std::uint64_t noise_seed_ = 0;

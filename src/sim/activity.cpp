@@ -49,16 +49,16 @@ exec::ShardPlan activity_shard_plan(const ActivityOptions& options) {
   return exec::ShardPlan(options.sample_pairs, options.shard_pairs);
 }
 
-ActivityCounts activity_shard_counts(const Circuit& circuit,
+ActivityCounts activity_shard_counts(const FlatCircuit& flat,
                                      const ActivityOptions& options,
                                      const exec::Shard& shard) {
-  const std::size_t n = circuit.node_count();
+  const std::size_t n = flat.node_count();
   const double p_in = options.input_one_probability;
   Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
-  LogicSim sim_a(circuit);
-  LogicSim sim_b(circuit);
-  std::vector<Word> in_a(circuit.num_inputs());
-  std::vector<Word> in_b(circuit.num_inputs());
+  LogicSim sim_a(flat);
+  LogicSim sim_b(flat);
+  std::vector<Word> in_a(flat.num_inputs());
+  std::vector<Word> in_b(flat.num_inputs());
   ActivityCounts counts(n);
 
   for (std::size_t pair = shard.begin; pair < shard.end; ++pair) {
@@ -110,13 +110,14 @@ ActivityResult estimate_activity(const Circuit& circuit,
   // merge is an integer sum, so the totals are independent of the order in
   // which shards finish — bit-exact for any thread count.
   const exec::ShardPlan plan = activity_shard_plan(options);
+  const FlatCircuit flat(circuit);
   ActivityCounts totals(circuit.node_count());
   std::mutex merge_mutex;
   exec::for_each_shard(
       plan,
       [&](const exec::Shard& shard) {
         const ActivityCounts local =
-            activity_shard_counts(circuit, options, shard);
+            activity_shard_counts(flat, options, shard);
         const std::lock_guard<std::mutex> lock(merge_mutex);
         totals.merge(local);
       },

@@ -15,6 +15,7 @@
 #include "exec/stream.hpp"
 #include "exec/thread_pool.hpp"
 #include "netlist/circuit.hpp"
+#include "sim/flat_circuit.hpp"
 #include "sim/bitpack.hpp"
 
 namespace enb::sim {
@@ -70,9 +71,9 @@ void validate_activity_inputs(const ActivityOptions& options);
     const ActivityOptions& options);
 
 // Counts contributed by one shard of the plan; a pure function of
-// (options.seed, shard.index).
+// (options.seed, shard.index). Concurrent shards may share `flat`.
 [[nodiscard]] ActivityCounts activity_shard_counts(
-    const netlist::Circuit& circuit, const ActivityOptions& options,
+    const FlatCircuit& flat, const ActivityOptions& options,
     const exec::Shard& shard);
 
 // Turns merged counts into the estimator's result (rates + gate averages).

@@ -6,35 +6,29 @@
 namespace enb::sim {
 
 using netlist::Circuit;
-using netlist::GateType;
 using netlist::NodeId;
 
 LogicSim::LogicSim(const Circuit& circuit)
-    : circuit_(&circuit), values_(circuit.node_count(), 0) {}
+    : owned_(std::make_unique<const FlatCircuit>(circuit)),
+      flat_(owned_.get()),
+      values_(circuit.node_count(), 0) {}
+
+LogicSim::LogicSim(const FlatCircuit& flat)
+    : flat_(&flat), values_(flat.node_count(), 0) {}
 
 void LogicSim::eval(std::span<const Word> input_words) {
-  if (input_words.size() != circuit_->num_inputs()) {
+  if (input_words.size() != flat_->num_inputs()) {
     throw std::invalid_argument(
-        "LogicSim::eval: expected " + std::to_string(circuit_->num_inputs()) +
+        "LogicSim::eval: expected " + std::to_string(flat_->num_inputs()) +
         " input words, got " + std::to_string(input_words.size()));
   }
-  for (NodeId id = 0; id < circuit_->node_count(); ++id) {
-    const auto& node = circuit_->node(id);
-    if (node.type == GateType::kInput) {
-      values_[id] = input_words[static_cast<std::size_t>(
-          circuit_->input_index(id))];
-      continue;
-    }
-    fanin_buffer_.clear();
-    for (NodeId f : node.fanins) fanin_buffer_.push_back(values_[f]);
-    values_[id] = netlist::eval_word(node.type, fanin_buffer_);
-  }
+  sweep(*flat_, input_words, values_.data());
 }
 
 std::vector<Word> LogicSim::output_values() const {
   std::vector<Word> out;
-  out.reserve(circuit_->num_outputs());
-  for (NodeId id : circuit_->outputs()) out.push_back(values_[id]);
+  out.reserve(flat_->num_outputs());
+  for (NodeId id : flat_->outputs()) out.push_back(values_[id]);
   return out;
 }
 
@@ -47,11 +41,23 @@ std::vector<bool> eval_single(const Circuit& circuit,
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     words[i] = inputs[i] ? kAllOnes : 0;
   }
-  LogicSim sim(circuit);
-  sim.eval(words);
+  // The scalar oracle: netlist::eval_word per node, sharing nothing with the
+  // flat kernel it is used to cross-check.
+  std::vector<Word> values(circuit.node_count(), 0);
+  std::vector<Word> fanin_words;
+  for (NodeId id = 0; id < circuit.node_count(); ++id) {
+    const Circuit::Node& node = circuit.node(id);
+    if (node.type == netlist::GateType::kInput) {
+      values[id] = words[static_cast<std::size_t>(circuit.input_index(id))];
+      continue;
+    }
+    fanin_words.clear();
+    for (NodeId f : node.fanins) fanin_words.push_back(values[f]);
+    values[id] = netlist::eval_word(node.type, fanin_words);
+  }
   std::vector<bool> out;
   out.reserve(circuit.num_outputs());
-  for (NodeId id : circuit.outputs()) out.push_back((sim.value(id) & 1U) != 0);
+  for (NodeId id : circuit.outputs()) out.push_back((values[id] & 1U) != 0);
   return out;
 }
 

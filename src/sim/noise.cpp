@@ -20,7 +20,7 @@ NoisySim::NoisySim(const Circuit& circuit, double epsilon, std::uint64_t seed)
 
 NoisySim::NoisySim(const Circuit& circuit, std::vector<double> epsilons,
                    std::uint64_t seed)
-    : circuit_(&circuit),
+    : flat_(circuit),
       epsilons_(std::move(epsilons)),
       rng_(seed),
       values_(circuit.node_count(), 0),
@@ -37,21 +37,18 @@ NoisySim::NoisySim(const Circuit& circuit, std::vector<double> epsilons,
 }
 
 void NoisySim::eval(std::span<const Word> input_words) {
-  if (input_words.size() != circuit_->num_inputs()) {
+  if (input_words.size() != flat_.num_inputs()) {
     throw std::invalid_argument("NoisySim::eval: input word count mismatch");
   }
-  for (NodeId id = 0; id < circuit_->node_count(); ++id) {
-    const auto& node = circuit_->node(id);
-    if (node.type == GateType::kInput) {
-      values_[id] =
-          input_words[static_cast<std::size_t>(circuit_->input_index(id))];
+  for (NodeId id = 0; id < flat_.node_count(); ++id) {
+    const GateType kind = flat_.kind(id);
+    if (kind == GateType::kInput) {
+      values_[id] = input_words[static_cast<std::size_t>(flat_.input_slot(id))];
       errors_[id] = 0;
       continue;
     }
-    fanin_buffer_.clear();
-    for (NodeId f : node.fanins) fanin_buffer_.push_back(values_[f]);
-    const Word clean = netlist::eval_word(node.type, fanin_buffer_);
-    if (counts_as_gate(node.type) && epsilons_[id] > 0.0) {
+    const Word clean = eval_gate(flat_, id, values_.data());
+    if (counts_as_gate(kind) && epsilons_[id] > 0.0) {
       errors_[id] = bernoulli_word(rng_, epsilons_[id]);
       values_[id] = clean ^ errors_[id];
     } else {
@@ -63,8 +60,8 @@ void NoisySim::eval(std::span<const Word> input_words) {
 
 std::vector<Word> NoisySim::output_values() const {
   std::vector<Word> out;
-  out.reserve(circuit_->num_outputs());
-  for (NodeId id : circuit_->outputs()) out.push_back(values_[id]);
+  out.reserve(flat_.num_outputs());
+  for (NodeId id : flat_.outputs()) out.push_back(values_[id]);
   return out;
 }
 

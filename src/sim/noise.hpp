@@ -4,7 +4,9 @@
 // symmetric channel of error probability ε (paper Figure 1): after the gate's
 // word is computed, each lane independently flips with probability ε.
 // Primary inputs and constants never fail; per-gate ε overrides support
-// heterogeneous-noise ablations.
+// heterogeneous-noise ablations. The clean gate values come from the shared
+// flat kernel (sim/flat_circuit.hpp); error words are drawn in node-id order,
+// one per failure-prone gate, so the noise stream is fixed by the seed.
 #pragma once
 
 #include <optional>
@@ -14,6 +16,7 @@
 #include "netlist/circuit.hpp"
 #include "sim/activity.hpp"
 #include "sim/bitpack.hpp"
+#include "sim/flat_circuit.hpp"
 #include "sim/prng.hpp"
 
 namespace enb::sim {
@@ -44,12 +47,11 @@ class NoisySim {
   }
 
  private:
-  const netlist::Circuit* circuit_;
+  FlatCircuit flat_;
   std::vector<double> epsilons_;
   Xoshiro256 rng_;
   std::vector<Word> values_;
   std::vector<Word> errors_;
-  std::vector<Word> fanin_buffer_;
 };
 
 // Monte-Carlo switching activity of the *noisy* circuit: temporally

@@ -1,73 +1,132 @@
 #include "sim/sensitivity.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
+#include <utility>
 
 #include "exec/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "sim/bitpack.hpp"
 #include "sim/exhaustive.hpp"
-#include "sim/logic_sim.hpp"
 #include "sim/prng.hpp"
 
 namespace enb::sim {
 
 using netlist::Circuit;
+using netlist::NodeId;
 
 namespace {
 
-// OR over outputs of (f(x) != f(x ^ e_i)), lane-parallel. Flipping input i in
-// every lane is simply complementing its input word, regardless of how lanes
-// map to assignments.
-Word flip_difference(LogicSim& sim, std::vector<Word>& inputs,
-                     std::span<const Word> base_outputs, std::size_t i,
-                     const Circuit& circuit) {
-  inputs[i] = ~inputs[i];
-  sim.eval(inputs);
-  inputs[i] = ~inputs[i];
-  Word diff = 0;
-  for (std::size_t o = 0; o < circuit.num_outputs(); ++o) {
-    diff |= sim.value(circuit.outputs()[o]) ^ base_outputs[o];
+bool degenerate(std::size_t inputs, std::size_t outputs) {
+  return inputs == 0 || outputs == 0;
+}
+
+bool is_exact(std::size_t inputs, std::size_t outputs,
+              const SensitivityOptions& options) {
+  const int n = static_cast<int>(inputs);
+  return degenerate(inputs, outputs) ||
+         (n <= options.max_exact_inputs && n <= kMaxExhaustiveInputs);
+}
+
+// Per-shard worker state: the base block's node words, the dirty set of the
+// flip in progress, an undo log of the words it changed, and accumulators.
+class ShardState {
+ public:
+  ShardState(const FlatCircuit& flat, int n)
+      : flat_(flat),
+        inputs_(static_cast<std::size_t>(n)),
+        values_(flat.node_count(), 0),
+        dirty_((flat.node_count() + kWordBits - 1) / kWordBits, 0),
+        counts_(static_cast<std::size_t>(n)),
+        counter_(n) {}
+
+  std::vector<Word>& inputs() noexcept { return inputs_; }
+  SensitivityCounts& counts() noexcept { return counts_; }
+  std::uint64_t gate_evals() const noexcept { return gate_evals_; }
+
+  // Sweeps the base block in inputs() once, then flips every input in turn.
+  void process_block(Word valid) {
+    sweep<Word>(flat_, inputs_, values_.data());
+    gate_evals_ += flat_.node_count();
+    counter_.reset();
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+      const Word diff = flip_difference(flat_.inputs()[i]) & valid;
+      counts_.influence_counts[i] += static_cast<std::uint64_t>(popcount(diff));
+      counter_.add(diff);
+    }
+    counts_.sensitivity =
+        std::max(counts_.sensitivity, counter_.max_lane(valid));
+    counts_.lane_total += static_cast<std::uint64_t>(popcount(valid));
   }
-  return diff;
-}
 
-bool degenerate(const Circuit& circuit) {
-  return circuit.num_inputs() == 0 || circuit.num_outputs() == 0;
-}
+ private:
+  // OR over outputs of (f(x) != f(x ^ e_i)), lane-parallel: complementing
+  // the input's word flips it in every lane, whatever assignment each lane
+  // holds. Re-evaluates only the nodes whose fanins changed and leaves the
+  // base block in values_ on return.
+  Word flip_difference(NodeId input) {
+    const Word base = values_[input];
+    values_[input] = ~base;
+    // An input that is itself an output differs in every lane.
+    Word diff = flat_.is_output(input) ? kAllOnes : 0;
+    // Consumers have larger ids than their fanins and fanouts() ascend, so
+    // the scan starts at the input's first consumer and only moves up.
+    std::size_t pending = mark_fanouts(input);
+    std::size_t word =
+        pending == 0 ? 0 : flat_.fanouts(input).front() / kWordBits;
+    while (pending != 0) {
+      const Word bits = dirty_[word];
+      if (bits == 0) {
+        ++word;
+        continue;
+      }
+      dirty_[word] = bits & (bits - 1);
+      --pending;
+      const auto id = static_cast<NodeId>(
+          word * kWordBits + static_cast<std::size_t>(std::countr_zero(bits)));
+      const Word old = values_[id];
+      const Word now = eval_gate(flat_, id, values_.data());
+      ++gate_evals_;
+      if (now == old) continue;
+      values_[id] = now;
+      undo_.push_back({id, old});
+      if (flat_.is_output(id)) diff |= now ^ old;
+      pending += mark_fanouts(id);
+    }
+    for (const auto& [id, old] : undo_) values_[id] = old;
+    undo_.clear();
+    values_[input] = base;
+    return diff;
+  }
 
-// Per-shard worker state: its own simulator, buffers and accumulators.
-struct ShardState {
-  LogicSim sim;
-  std::vector<Word> inputs;
-  std::vector<Word> base_outputs;
-  SensitivityCounts counts;
-  LaneCounter counter;
+  // Marks the consumers of `id` dirty; returns how many were newly marked.
+  std::size_t mark_fanouts(NodeId id) {
+    std::size_t marked = 0;
+    for (const NodeId f : flat_.fanouts(id)) {
+      const std::size_t word = f / kWordBits;
+      const Word bit = Word{1} << (f % kWordBits);
+      if ((dirty_[word] & bit) != 0) continue;
+      dirty_[word] |= bit;
+      ++marked;
+    }
+    return marked;
+  }
 
-  ShardState(const Circuit& circuit, int n)
-      : sim(circuit),
-        inputs(static_cast<std::size_t>(n)),
-        base_outputs(circuit.num_outputs()),
-        counts(static_cast<std::size_t>(n)),
-        counter(n) {}
+  const FlatCircuit& flat_;
+  std::vector<Word> inputs_;
+  std::vector<Word> values_;
+  std::vector<Word> dirty_;  // bitset over node ids
+  std::vector<std::pair<NodeId, Word>> undo_;
+  SensitivityCounts counts_;
+  LaneCounter counter_;
+  std::uint64_t gate_evals_ = 0;
 };
 
-void process_block(const Circuit& circuit, ShardState& state, Word valid) {
-  state.sim.eval(state.inputs);
-  for (std::size_t o = 0; o < circuit.num_outputs(); ++o) {
-    state.base_outputs[o] = state.sim.value(circuit.outputs()[o]);
-  }
-  state.counter.reset();
-  for (std::size_t i = 0; i < state.inputs.size(); ++i) {
-    const Word diff = flip_difference(state.sim, state.inputs,
-                                      state.base_outputs, i, circuit) &
-                      valid;
-    state.counts.influence_counts[i] +=
-        static_cast<std::uint64_t>(popcount(diff));
-    state.counter.add(diff);
-  }
-  state.counts.sensitivity =
-      std::max(state.counts.sensitivity, state.counter.max_lane(valid));
-  state.counts.lane_total += static_cast<std::uint64_t>(popcount(valid));
+obs::Counter& gate_evals_counter() {
+  static obs::Counter& counter =
+      obs::Registry::global().counter("sim-sensitivity-gate-evals-total");
+  return counter;
 }
 
 }  // namespace
@@ -82,9 +141,7 @@ void SensitivityCounts::merge(const SensitivityCounts& other) {
 
 bool sensitivity_is_exact(const Circuit& circuit,
                           const SensitivityOptions& options) {
-  const int n = static_cast<int>(circuit.num_inputs());
-  return degenerate(circuit) ||
-         (n <= options.max_exact_inputs && n <= kMaxExhaustiveInputs);
+  return is_exact(circuit.num_inputs(), circuit.num_outputs(), options);
 }
 
 void validate_sensitivity_inputs(const Circuit& circuit,
@@ -97,7 +154,9 @@ void validate_sensitivity_inputs(const Circuit& circuit,
 
 exec::ShardPlan sensitivity_shard_plan(const Circuit& circuit,
                                        const SensitivityOptions& options) {
-  if (degenerate(circuit)) return exec::ShardPlan(0, 1);
+  if (degenerate(circuit.num_inputs(), circuit.num_outputs())) {
+    return exec::ShardPlan(0, 1);
+  }
   const int n = static_cast<int>(circuit.num_inputs());
   const std::size_t total =
       sensitivity_is_exact(circuit, options)
@@ -106,28 +165,29 @@ exec::ShardPlan sensitivity_shard_plan(const Circuit& circuit,
   return exec::ShardPlan(total, static_cast<std::size_t>(options.shard_words));
 }
 
-SensitivityCounts sensitivity_shard_counts(const Circuit& circuit,
+SensitivityCounts sensitivity_shard_counts(const FlatCircuit& flat,
                                            const SensitivityOptions& options,
                                            const exec::Shard& shard) {
-  const int n = static_cast<int>(circuit.num_inputs());
-  ShardState state(circuit, n);
-  if (sensitivity_is_exact(circuit, options)) {
+  const int n = static_cast<int>(flat.num_inputs());
+  ShardState state(flat, n);
+  if (is_exact(flat.num_inputs(), flat.num_outputs(), options)) {
     // Blocks are pure functions of their index, so the exhaustive sweep
     // shards over block ranges with no randomness involved.
     const Word valid = exhaustive_valid_mask(n);
     for (std::size_t block = shard.begin; block < shard.end; ++block) {
       fill_exhaustive_block(n, static_cast<std::uint64_t>(block),
-                            state.inputs);
-      process_block(circuit, state, valid);
+                            state.inputs());
+      state.process_block(valid);
     }
   } else {
     Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
     for (std::size_t pass = shard.begin; pass < shard.end; ++pass) {
-      for (Word& w : state.inputs) w = rng.next();
-      process_block(circuit, state, kAllOnes);
+      for (Word& w : state.inputs()) w = rng.next();
+      state.process_block(kAllOnes);
     }
   }
-  return std::move(state.counts);
+  gate_evals_counter().add(state.gate_evals());
+  return std::move(state.counts());
 }
 
 SensitivityResult finalize_sensitivity(const Circuit& circuit,
@@ -136,7 +196,7 @@ SensitivityResult finalize_sensitivity(const Circuit& circuit,
   const std::size_t n = circuit.num_inputs();
   SensitivityResult result;
   result.influence.assign(n, 0.0);
-  if (degenerate(circuit)) {
+  if (degenerate(n, circuit.num_outputs())) {
     result.exact = true;
     result.assignments = 1;
     return result;
@@ -158,17 +218,18 @@ SensitivityResult compute_sensitivity(const Circuit& circuit,
   validate_sensitivity_inputs(circuit, options);
   const std::size_t n = circuit.num_inputs();
   SensitivityCounts totals(n);
-  if (!degenerate(circuit)) {
+  if (!degenerate(n, circuit.num_outputs())) {
     // Shards merge by sum (influence, lane totals) and max (sensitivity), so
     // the sweep is thread-count independent for both the exact enumeration
     // (no randomness at all) and the sampled one (counter-based streams).
     const exec::ShardPlan plan = sensitivity_shard_plan(circuit, options);
+    const FlatCircuit flat(circuit);
     std::mutex merge_mutex;
     exec::for_each_shard(
         plan,
         [&](const exec::Shard& shard) {
           const SensitivityCounts local =
-              sensitivity_shard_counts(circuit, options, shard);
+              sensitivity_shard_counts(flat, options, shard);
           const std::lock_guard<std::mutex> lock(merge_mutex);
           totals.merge(local);
         },

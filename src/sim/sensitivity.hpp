@@ -9,6 +9,16 @@
 // default); beyond that, random sampling yields a lower bound — conservative
 // in the right direction for a lower-bound theorem. Per-input influences
 // P_x[f(x) != f(x ^ e_i)] come out of the same sweep for free.
+//
+// Each block of 64 base assignments costs one full sweep of the flat kernel
+// (sim/flat_circuit.hpp) plus one event-driven flip per input: the input's
+// word is complemented, its fanouts are marked dirty, and only dirty nodes
+// are re-evaluated in ascending id order; a node whose word changed marks
+// its own fanouts, and the flip stops as soon as no dirty node remains. The
+// touched nodes are then restored to the base block. The output difference
+// is the OR of (new ^ base) over the changed output nodes, exactly the word
+// a full re-sweep would give, so the counts are those of n + 1 full sweeps
+// at the cost of the flipped inputs' live fanout cones.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +27,7 @@
 #include "exec/stream.hpp"
 #include "exec/thread_pool.hpp"
 #include "netlist/circuit.hpp"
+#include "sim/flat_circuit.hpp"
 
 namespace enb::sim {
 
@@ -79,8 +90,11 @@ void validate_sensitivity_inputs(const netlist::Circuit& circuit,
 
 // Counts contributed by one shard of the plan; deterministic for exact
 // sweeps, a pure function of (options.seed, shard.index) for sampled ones.
+// Concurrent shards may share `flat`, the flat form of the planned circuit.
+// Adds the shard's gate evaluations to the `sim-sensitivity-gate-evals-total`
+// counter (observability only; never part of the counts).
 [[nodiscard]] SensitivityCounts sensitivity_shard_counts(
-    const netlist::Circuit& circuit, const SensitivityOptions& options,
+    const FlatCircuit& flat, const SensitivityOptions& options,
     const exec::Shard& shard);
 
 // Turns merged counts into the estimator's result; handles the degenerate

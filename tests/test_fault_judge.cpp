@@ -20,6 +20,9 @@
 // The profile table (kProfileJudgeTable) pins the `kind=profile` JSON bytes
 // of every suite circuit at default ProfileOptions: the (s, S0, sw0, k, d0)
 // extraction every energy bound starts from, whichever route computes it.
+// The noisy table (kNoisyJudgeTable) pins the ε-flip simulator's outputs —
+// `kind=reliability` and `kind=worst-case` JSON and the noisy activity —
+// so a change to the evaluation kernel cannot move one noise draw unseen.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,6 +39,8 @@
 #include "fault/untestable.hpp"
 #include "ft/nmr.hpp"
 #include "gen/suite.hpp"
+#include "sim/activity.hpp"
+#include "sim/noise.hpp"
 #include "util/sha256.hpp"
 
 namespace enb::fault {
@@ -365,6 +370,196 @@ TEST(FaultJudge, ProfileJsonIdenticalAcrossRoutesAndThreads) {
         << "batch threads=" << how.threads;
   }
 }
+
+// ---- noisy-path digests ----------------------------------------------------
+
+// The ε-flip simulator's outputs, pinned so that no engine change can move
+// one RNG draw unnoticed: `kind=reliability` and `kind=worst-case` rows as
+// the batch JSON writer emits them (each circuit against its own noise-free
+// evaluation), and the noisy Monte-Carlo activity with every node's one
+// probability and toggle rate in hexfloat. Budgets are small so both suites
+// grade in seconds; shards are small so the cross-shard merge is exercised.
+constexpr double kJudgeEpsilon = 0.02;
+
+analysis::AnalysisRequest noisy_request(const std::string& name,
+                                        analysis::RequestOptions options) {
+  analysis::AnalysisRequest request;
+  request.name = name;
+  request.circuit = analysis::compile(gen::find_benchmark(name).build());
+  request.options = std::move(options);
+  return request;
+}
+
+std::string judge_reliability_json(const std::string& name,
+                                   exec::Parallelism how = {}) {
+  analysis::ReliabilityRequest spec;
+  spec.epsilon = kJudgeEpsilon;
+  spec.options.trials = 2048;
+  spec.options.shard_passes = 8;
+  return profile_json(
+      analysis::evaluate(noisy_request(name, std::move(spec)), how));
+}
+
+std::string judge_worst_case_json(const std::string& name,
+                                  exec::Parallelism how = {}) {
+  analysis::WorstCaseRequest spec;
+  spec.epsilon = kJudgeEpsilon;
+  spec.options.num_inputs = 6;
+  spec.options.trials_per_input = 256;
+  return profile_json(
+      analysis::evaluate(noisy_request(name, std::move(spec)), how));
+}
+
+std::string judge_noisy_activity(const std::string& name,
+                                 exec::Parallelism how = {}) {
+  const netlist::Circuit circuit = gen::find_benchmark(name).build();
+  sim::ActivityOptions options;
+  options.sample_pairs = 12;
+  options.shard_pairs = 4;
+  const sim::ActivityResult activity =
+      sim::estimate_noisy_activity(circuit, kJudgeEpsilon, options, how);
+  std::ostringstream out;
+  out << profile_json(analysis::make_result(name, activity)) << std::hexfloat;
+  for (std::size_t id = 0; id < activity.toggle_rate.size(); ++id) {
+    out << activity.one_probability[id] << ' ' << activity.toggle_rate[id]
+        << '\n';
+  }
+  return out.str();
+}
+
+struct NoisyJudgeEntry {
+  const char* name;
+  const char* reliability;
+  const char* worst_case;
+  const char* noisy_activity;
+};
+
+constexpr NoisyJudgeEntry kNoisyJudgeTable[] = {
+    {"c17",
+     "fcb9ea97db5169c3bfa91130fcdb3b89e255ed76fa232bba9af86050568d226b",
+     "288f8a2f23c792974d10f40aa775f2516a98017b0ec22df850632c9829cfb103",
+     "9a3dc20e3b2e834f9f8887ee9d58e7a7e462b0824693af16d37e11193dbaf3c7"},
+    {"parity8",
+     "e74599b6ac8e1b3aab628846e446254503cb5c4bc629d3de1897eb8783b5bd6c",
+     "cc316fd94099d1b219f9a032b255b6ceb95460c20321453911fc61535061c1f4",
+     "ecf95c5519511321073e0166ddd99e45a3f17531be365b1a9708e5944ec07533"},
+    {"parity16",
+     "e37a8e2f4d600dc23beb89a2b5df93aa611b7306b7ee9a707b7f5058bc02daa7",
+     "97a2e83661a54c811d917bfb35855f352e583cfb8e964e08b7810908fb0f9aeb",
+     "1468a23823377afb51348223a370b05ede385ae0edcbb1d671ef131dd3cb6363"},
+    {"rca8",
+     "1876ef0dce13eaaee53dcb4fcebc23d0120bc26502d59145b25ea189f3053c6a",
+     "a8f7e89edf5368d55e5bb50b8f040a813739240e8edde3af1d11b987ac5cca05",
+     "ed429f1c71047caa7b45e3009e2655749e1945ce580f869951dfa17991989d8e"},
+    {"rca16",
+     "be80308be052431d3186e0f734b6608ceb5736d0890a8fecf3c02a0ff8f61b70",
+     "af0343223e47302b143d3d524ebea3018412d35acaa9ad518cd514c7e6d7c9b4",
+     "01344ec7065c429aa8e84fe675627eb5d056d8e203ba9f08c547d9a7589ab178"},
+    {"rca32",
+     "cd4eae0180c32a9fe71ae3bd59656f532103934caf19b9bc7836135b910808ce",
+     "5d06073932c67ae4417ff0c16aa77ee36d7426287c6a287a10f6017522f380b9",
+     "1eb3da1e97e6a94d531219445be81a7d46be68eef3b6b550dc75da277cfc2cbf"},
+    {"cla16",
+     "d1260788f1c6d9b64d1c8d72d3bc9d4aee6929c1db80230dc11bc723963288fe",
+     "5c58e8fde6e9a4d53c5dd7a72aa449ea24cafdeb1beafe74b370c93d020b17e8",
+     "587d5f6dab0c0b50da19ec1901abfcf52a860db290da7c2fde86bb1e17f68754"},
+    {"csel16",
+     "2eec49b36a3c521c7fc375c6ea6b5038e967d4c6804dd3ad2e3057fe3a913f4f",
+     "533f686d34291df60b8ede122e7575c7e192d800c78a6ee1ceb5372038ca4d2b",
+     "ccc5cdf26f63f4092250ffe2832c28716746cf5249f74b58ba46b6e24b3b6bc5"},
+    {"mult4",
+     "95a7f9f97bbe82aa3267544367f9f9685dceb64eda2dfca87eea9f444c2be8d0",
+     "de5144aa15bf9a8dd1b17041e6fa935f86d6f4d46288586d6f2ffe82e835b13a",
+     "d973a33235238f9303e3863f01c66c995f026d6225d04ab44e7660fe0f27b590"},
+    {"mult8",
+     "c2810c50680d4ee00092cbfd1935e3018df83c0e6f225d62f20435ce5a72a9aa",
+     "8aeae6315b5de84ef3e021b6df644d86c947f9c4d9e357c447d1fbdbd0731b46",
+     "da766c770474749be32453987cf3067b39e7521dbde11087efe3c247c92b05d5"},
+    {"cmp16",
+     "72a91b9ac1ede66a41ec2895b5e8a996f3cde2bf389b17177a185a37688d0a50",
+     "60606ab6524d632487fa43653d77b0ebb91736e590e448a289629efbd50ed8d0",
+     "561cc85c8342ae012ddcb00b728057bd75150fd1461b4d147420478a80bb588d"},
+    {"alu8",
+     "c3444371aa667721bc2ad207cd6316fe8ed3cdede75b4864bfd815058b59e8e7",
+     "179ea07f0de1c52da8cd02dfa43ee96c1617004464db0e27c7fb2f76c494c94b",
+     "e6e831e1bb837c9e512979bc7b70f6d108dfa5e0ed5359c830cfb36179e36db7"},
+    {"c432",
+     "9057f22cece1c445efb0e8d08ec90811ae121dc1b3efad1d26a5c359e1111a36",
+     "358e1aa2f6b180d545e0fd413abba7af11ba5d5ea8381983843d7befb0d76d0f",
+     "0bd9aef2e125aa9a253b39164f6e6dc2b2c54b3d99de03f26128399d19e6193d"},
+    {"rca256",
+     "2107b82cbec7f3144a53d777296d2225ceae8ebbc89067396ff68deb01c3ce4b",
+     "baba2d4ee4240e967f7a015abc9b967262bb2725d7a536288b453bd16ee0b08f",
+     "d9bfca1d7270b598fbd500174a76922d50b3b6c884febd4f4f26688f06bccc1d"},
+    {"csel64",
+     "c0d2846518a201029de78770ccc7d8b29676748ba61f064eb9609750a92e4242",
+     "9a6392c8b4046fb2f3375d0f5794253bc2dfd9cdcab678ede00899c370f71dae",
+     "41e7864ce60c066d3cc92e849489ce493b7c3b93681a7a2561b3ab970f8468a7"},
+    {"mult16",
+     "0c39d807737963a750963a152f318a0763ecf7bd35aa850d2e93b5dbd3700a1c",
+     "c70b41554f5189c2bbfaf1522294b28d04dac57836e655ff0868001c799bb44a",
+     "ab84bd0d956bf45c1119125a405ab8b141067dee4f9b5f3bf61dd5195c1d6f9e"},
+    {"alu64",
+     "e80aa5946686de543c1def80a170baa03914e1c03f3edd1d2fc2401520c42d4e",
+     "0f4155a15d093083793ce4f19bafbc07947785c22f25ff7f6a996361f069bb50",
+     "b6537f8ab1a9f7fee5ca5af6631671ead7693ae465cf5022f2477800d51a850d"},
+};
+
+TEST(FaultJudge, NoisyTableCoversStandardAndScaleSuites) {
+  std::vector<std::string> expected;
+  for (const gen::BenchmarkSpec& spec : gen::standard_suite()) {
+    expected.push_back(spec.name);
+  }
+  for (const gen::BenchmarkSpec& spec : gen::scale_suite()) {
+    expected.push_back(spec.name);
+  }
+  std::vector<std::string> pinned;
+  for (const NoisyJudgeEntry& entry : kNoisyJudgeTable) {
+    pinned.push_back(entry.name);
+  }
+  EXPECT_EQ(pinned, expected);
+}
+
+TEST(FaultJudge, ReliabilityJsonDigestsMatchGoldenTable) {
+  for (const NoisyJudgeEntry& entry : kNoisyJudgeTable) {
+    const std::string json = judge_reliability_json(entry.name);
+    EXPECT_EQ(util::sha256_hex(json), entry.reliability)
+        << entry.name << " actual bytes: " << json;
+  }
+}
+
+TEST(FaultJudge, WorstCaseJsonDigestsMatchGoldenTable) {
+  for (const NoisyJudgeEntry& entry : kNoisyJudgeTable) {
+    const std::string json = judge_worst_case_json(entry.name);
+    EXPECT_EQ(util::sha256_hex(json), entry.worst_case)
+        << entry.name << " actual bytes: " << json;
+  }
+}
+
+TEST(FaultJudge, NoisyActivityDigestsMatchGoldenTable) {
+  for (const NoisyJudgeEntry& entry : kNoisyJudgeTable) {
+    EXPECT_EQ(util::sha256_hex(judge_noisy_activity(entry.name)),
+              entry.noisy_activity)
+        << entry.name;
+  }
+}
+
+TEST(FaultJudge, NoisyDigestsIndependentOfThreads) {
+  const std::string name = "c432";
+  const std::string reliability = judge_reliability_json(name);
+  const std::string worst_case = judge_worst_case_json(name);
+  const std::string activity = judge_noisy_activity(name);
+  for (const exec::Parallelism how :
+       {exec::Parallelism::serial(), exec::Parallelism::dedicated(3)}) {
+    EXPECT_EQ(judge_reliability_json(name, how), reliability)
+        << "threads=" << how.threads;
+    EXPECT_EQ(judge_worst_case_json(name, how), worst_case)
+        << "threads=" << how.threads;
+    EXPECT_EQ(judge_noisy_activity(name, how), activity)
+        << "threads=" << how.threads;
+  }
+}
+
 
 }  // namespace
 }  // namespace enb::fault

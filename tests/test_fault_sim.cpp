@@ -88,6 +88,51 @@ TEST(FaultSim, BitIdenticalToScalarOnRandomCircuits) {
   }
 }
 
+// Whole campaigns are identical for every lane width, with and without
+// fault dropping, on random circuits and on one with duplicate output
+// ports, an input that is also an output, constants and an unused input.
+TEST(FaultSim, CampaignIdenticalAcrossLaneWidths) {
+  std::vector<Circuit> circuits;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    gen::RandomCircuitOptions options;
+    options.num_inputs = 12;
+    options.num_gates = 150;
+    options.num_outputs = 5;
+    options.seed = seed;
+    circuits.push_back(gen::random_circuit(options));
+  }
+  Circuit edge;
+  const netlist::NodeId a = edge.add_input();
+  const netlist::NodeId b = edge.add_input();
+  edge.add_input();
+  const netlist::NodeId one = edge.add_const(true);
+  const netlist::NodeId g =
+      edge.add_gate(netlist::GateType::kXor, {a, b, one});
+  edge.add_output(g);
+  edge.add_output(g);
+  edge.add_output(a);
+  edge.add_output(edge.add_gate(netlist::GateType::kAnd, b, b));
+  circuits.push_back(std::move(edge));
+
+  for (const Circuit& circuit : circuits) {
+    for (const bool drop : {false, true}) {
+      CampaignOptions options;
+      options.patterns = 96;
+      options.shard_patterns = 32;
+      options.drop = drop;
+      const FaultCampaignResult baseline = run_campaign(
+          circuit, nullptr, options, exec::Parallelism::serial());
+      for (const LaneWidth width : all_lane_widths()) {
+        options.lanes = width;
+        EXPECT_EQ(run_campaign(circuit, nullptr, options,
+                               exec::Parallelism::dedicated(3)),
+                  baseline)
+            << "lanes=" << to_string(width) << " drop=" << drop;
+      }
+    }
+  }
+}
+
 TEST(FaultSim, DetectsInjectedFaultOnObservablePath) {
   // y = a AND b: output sa1 is detected by (0,0), masked on (1,1).
   Circuit c("and2");

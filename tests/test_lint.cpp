@@ -87,6 +87,24 @@ TEST(Lint, CombinationalCycleIsReportedWithItsPath) {
   EXPECT_FALSE(report.clean());
 }
 
+// A cycle through a million NOT gates: the cycle search walks it without
+// recursion, reports it once, and lint stops at the source-level error.
+TEST(Lint, MillionGateCycleIsReportedWithoutRecursion) {
+  constexpr int kDepth = 1000000;
+  std::ostringstream text;
+  text << "INPUT(x)\nOUTPUT(n0)\nn0 = NOT(n" << kDepth - 1 << ")\n";
+  for (int i = 1; i < kDepth; ++i) {
+    text << 'n' << i << " = NOT(n" << i - 1 << ")\n";
+  }
+  const LintReport report = lint_bench_text(text.str());
+  ASSERT_EQ(report.errors(), 1u);
+  const auto d = find_rule(report, LintRule::kCycle);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->site, "n0");
+  EXPECT_EQ(d->message.rfind("combinational cycle: n0 -> n999999 -> ", 0), 0u);
+  EXPECT_TRUE(d->message.ends_with(" -> n1 -> n0"));
+}
+
 TEST(Lint, UndrivenNetIsAnError) {
   const LintReport report = lint_bench_text(
       "INPUT(a)\n"

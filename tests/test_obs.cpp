@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/compiled_circuit.hpp"
@@ -37,7 +38,7 @@ namespace {
 // unit tests too.
 class JsonScanner {
  public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
+  explicit JsonScanner(std::string text) : text_(std::move(text)) {}
 
   bool valid() {
     skip_ws();
@@ -161,7 +162,7 @@ class JsonScanner {
     }
   }
 
-  const std::string& text_;
+  std::string text_;  // owned: callers may pass a temporary
   std::size_t pos_ = 0;
 };
 
