@@ -126,4 +126,10 @@ struct LintReport {
 // closing "N errors, M warnings" summary line.
 void write_lint_text(std::ostream& out, const LintReport& report);
 
+// One JSON object {"name", "nodes", "errors", "warnings", "diagnostics":
+// [{"severity", "rule", "site", "message"}...]} and a newline; every string
+// is escaped, so the object parses for any bytes in the source text.
+void write_lint_json(std::ostream& out, const std::string& name,
+                     const LintReport& report);
+
 }  // namespace enb::analysis

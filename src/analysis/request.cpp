@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <ios>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
+
+#include "util/numeric.hpp"
 
 namespace enb::analysis {
 
 namespace {
 
-// The variant orders must mirror AnalysisKind (kind() and kind_of rely on
-// the indices).
+// The variant orders must mirror AnalysisKind (kind(), make_result and
+// canonical_spec rely on the indices).
 static_assert(std::is_same_v<std::variant_alternative_t<0, RequestOptions>,
                              ReliabilityRequest>);
 static_assert(std::is_same_v<std::variant_alternative_t<1, RequestOptions>,
@@ -39,12 +43,8 @@ static_assert(std::is_same_v<
 
 using Metrics = std::vector<std::pair<std::string, double>>;
 
-void push(Metrics& m, const char* name, double value) {
-  m.emplace_back(name, value);
-}
-
-void push(Metrics& m, const std::string& name, double value) {
-  m.emplace_back(name, value);
+void push(Metrics& m, std::string name, double value) {
+  m.emplace_back(std::move(name), value);
 }
 
 Metrics flatten(const sim::ReliabilityResult& r) {
@@ -228,45 +228,53 @@ SpecWriter& write_profile_options(SpecWriter& w,
       .field("profile_seed", p.seed);
 }
 
-std::string spec_of(const ReliabilityRequest& r) {
-  return SpecWriter("reliability")
-      .field("eps", r.epsilon)
+// options.lanes is deliberately absent: lane width is execution policy
+// (results are normalized to be width-independent), so requests differing
+// only in lanes share one cache entry. drop and sample ARE value-relevant
+// (sim_passes and the simulated set change).
+SpecWriter& write_campaign_options(SpecWriter& w,
+                                   const fault::CampaignOptions& c) {
+  return w.field("patterns", c.patterns)
+      .field("exhaustive", c.exhaustive)
+      .field("seed", c.seed)
+      .field("shard_patterns", c.shard_patterns)
+      .field("bundle_width", c.bundle_width)
+      .field("collapse", c.collapse)
+      .field("drop", c.drop)
+      .field("sample", c.sample)
+      .field("prune", c.prune_untestable);
+}
+
+void write_spec(SpecWriter& w, const ReliabilityRequest& r) {
+  w.field("eps", r.epsilon)
       .field("trials", r.options.trials)
       .field("seed", r.options.seed)
       .field("p1", r.options.input_one_probability)
-      .field("shard_passes", r.options.shard_passes)
-      .str();
+      .field("shard_passes", r.options.shard_passes);
 }
 
-std::string spec_of(const WorstCaseRequest& r) {
-  return SpecWriter("worst-case")
-      .field("eps", r.epsilon)
+void write_spec(SpecWriter& w, const WorstCaseRequest& r) {
+  w.field("eps", r.epsilon)
       .field("num_inputs", r.options.num_inputs)
       .field("trials_per_input", r.options.trials_per_input)
-      .field("seed", r.options.seed)
-      .str();
+      .field("seed", r.options.seed);
 }
 
-std::string spec_of(const ActivityRequest& r) {
-  return SpecWriter("activity")
-      .field("sample_pairs", r.options.sample_pairs)
+void write_spec(SpecWriter& w, const ActivityRequest& r) {
+  w.field("sample_pairs", r.options.sample_pairs)
       .field("seed", r.options.seed)
       .field("p1", r.options.input_one_probability)
-      .field("shard_pairs", r.options.shard_pairs)
-      .str();
+      .field("shard_pairs", r.options.shard_pairs);
 }
 
-std::string spec_of(const SensitivityRequest& r) {
-  return SpecWriter("sensitivity")
-      .field("max_exact_inputs", r.options.max_exact_inputs)
+void write_spec(SpecWriter& w, const SensitivityRequest& r) {
+  w.field("max_exact_inputs", r.options.max_exact_inputs)
       .field("sample_words", r.options.sample_words)
       .field("seed", r.options.seed)
-      .field("shard_words", r.options.shard_words)
-      .str();
+      .field("shard_words", r.options.shard_words);
 }
 
-std::string spec_of(const EnergyBoundRequest& r) {
-  SpecWriter w("energy-bound");
+void write_spec(SpecWriter& w, const EnergyBoundRequest& r) {
   w.field("eps", r.epsilon)
       .field("delta", r.delta)
       .field("leakage_fraction", r.energy.leakage_fraction)
@@ -285,57 +293,35 @@ std::string spec_of(const EnergyBoundRequest& r) {
         .field("override_s", p.sensitivity_s)
         .field("override_exact", p.sensitivity_exact);
   }
-  return w.str();
 }
 
-std::string spec_of(const ProfileRequest& r) {
-  SpecWriter w("profile");
+void write_spec(SpecWriter& w, const ProfileRequest& r) {
   write_profile_options(w, r.options);
-  return w.str();
 }
 
-std::string spec_of(const FaultCampaignRequest& r) {
-  // options.lanes is deliberately absent: lane width is execution policy
-  // (results are normalized to be width-independent), so requests differing
-  // only in lanes share one cache entry. drop and sample ARE value-relevant
-  // (sim_passes and the simulated set change).
-  return SpecWriter("fault-campaign")
-      .field("patterns", r.options.patterns)
-      .field("exhaustive", r.options.exhaustive)
-      .field("seed", r.options.seed)
-      .field("shard_patterns", r.options.shard_patterns)
-      .field("bundle_width", r.options.bundle_width)
-      .field("collapse", r.options.collapse)
-      .field("drop", r.options.drop)
-      .field("sample", r.options.sample)
-      .field("prune", r.options.prune_untestable)
-      .str();
+void write_spec(SpecWriter& w, const FaultCampaignRequest& r) {
+  write_campaign_options(w, r.options);
 }
 
-std::string spec_of(const LintRequest& r) {
-  return SpecWriter("lint")
-      .field("exhaustive_cap", r.options.exhaustive_cap)
-      .field("allow_voter_replicas", r.options.allow_voter_replicas)
-      .str();
+void write_spec(SpecWriter& w, const LintRequest& r) {
+  w.field("exhaustive_cap", r.options.exhaustive_cap)
+      .field("allow_voter_replicas", r.options.allow_voter_replicas);
 }
 
-std::string spec_of(const CecRequest& r) {
+void write_spec(SpecWriter& w, const CecRequest& r) {
   // Both circuit fingerprints are part of the serve cache key (the second
   // circuit is the request's golden handle); the spec covers the knobs.
-  return SpecWriter("cec")
-      .field("seed", r.options.seed)
+  w.field("seed", r.options.seed)
       .field("signature_words", r.options.signature_words)
-      .field("bdd_node_limit", r.options.bdd_node_limit)
-      .str();
+      .field("bdd_node_limit", r.options.bdd_node_limit);
 }
 
-std::string spec_of(const HardenRequest& r) {
+void write_spec(SpecWriter& w, const HardenRequest& r) {
   // The campaign's lanes knob is excluded exactly as in the fault-campaign
   // spec (execution policy, results are lane-width independent); everything
   // else — sweep restriction, voter style, grading campaign, CEC knobs, and
   // the energy operating point — is value-relevant.
   const harden::SweepOptions& o = r.options;
-  SpecWriter w("harden");
   w.text("style",
          o.style.has_value() ? std::string(harden::to_string(*o.style))
                              : std::string("all"))
@@ -347,68 +333,400 @@ std::string spec_of(const HardenRequest& r) {
       .field("voter", static_cast<int>(o.voter))
       .field("eps", o.epsilon)
       .field("delta", o.delta)
-      .field("leakage_fraction", o.leakage_fraction)
-      .field("patterns", o.campaign.patterns)
-      .field("exhaustive", o.campaign.exhaustive)
-      .field("seed", o.campaign.seed)
-      .field("shard_patterns", o.campaign.shard_patterns)
-      .field("bundle_width", o.campaign.bundle_width)
-      .field("collapse", o.campaign.collapse)
-      .field("drop", o.campaign.drop)
-      .field("sample", o.campaign.sample)
-      .field("prune", o.campaign.prune_untestable)
+      .field("leakage_fraction", o.leakage_fraction);
+  write_campaign_options(w, o.campaign)
       .field("cec_seed", o.cec.seed)
       .field("cec_signature_words", o.cec.signature_words)
       .field("cec_bdd_node_limit", o.cec.bdd_node_limit);
-  return w.str();
+}
+
+// ---- manifest keys -------------------------------------------------------
+
+double parse_double_value(std::string_view key, const std::string& value) {
+  double parsed = 0.0;
+  if (!util::parse_double(value, parsed)) {
+    throw std::invalid_argument("manifest: non-numeric value '" + value +
+                                "' for key '" + std::string(key) + "'");
+  }
+  return parsed;
+}
+
+std::uint64_t parse_count_value(std::string_view key,
+                                const std::string& value) {
+  std::uint64_t parsed = 0;
+  if (!util::parse_uint64(value, parsed)) {
+    throw std::invalid_argument("manifest: value for key '" +
+                                std::string(key) +
+                                "' must be a non-negative integer, got '" +
+                                value + "'");
+  }
+  return parsed;
+}
+
+// A key reader stores its value in the settings and returns the range error
+// for a value out of range ("" when the value is taken); non-numeric values
+// throw.
+using KeyReader = std::string (*)(ManifestSettings&, std::string_view key,
+                                  const std::string& value);
+
+struct ManifestKey {
+  std::string_view name;
+  KeyReader read;
+};
+
+template <auto Field>
+std::string read_text(ManifestSettings& s, std::string_view,
+                      const std::string& value) {
+  s.*Field = value;
+  return {};
+}
+
+template <auto Field>
+std::string read_double(ManifestSettings& s, std::string_view key,
+                        const std::string& value) {
+  s.*Field = parse_double_value(key, value);
+  return {};
+}
+
+template <auto Field>
+std::string read_count(ManifestSettings& s, std::string_view key,
+                       const std::string& value) {
+  s.*Field = parse_count_value(key, value);
+  return {};
+}
+
+template <auto Field>
+std::string read_flag(ManifestSettings& s, std::string_view key,
+                      const std::string& value) {
+  const std::uint64_t flag = parse_count_value(key, value);
+  if (flag > 1) return std::string(key) + " must be 0 or 1";
+  s.*Field = flag != 0;
+  return {};
+}
+
+std::string read_lanes(ManifestSettings& s, std::string_view key,
+                       const std::string& value) {
+  s.lanes = fault::parse_lane_width(parse_count_value(key, value));
+  return s.lanes.has_value() ? "" : "lanes must be 64, 128, 256, or 512";
+}
+
+std::string read_style(ManifestSettings& s, std::string_view,
+                       const std::string& value) {
+  s.style = harden::parse_style(value);
+  return s.style.has_value() ? "" : "style must be tmr, dwc, or selective";
+}
+
+std::string read_granularity(ManifestSettings& s, std::string_view,
+                             const std::string& value) {
+  s.granularity = harden::parse_granularity(value);
+  return s.granularity.has_value()
+             ? ""
+             : "granularity must be gate, cone, or output";
+}
+
+// The first kCommonKeys entries apply to every kind; the rest only to the
+// kinds whose descriptor lists them.
+constexpr std::size_t kCommonKeys = 6;
+constexpr ManifestKey kManifestKeys[] = {
+    {"golden", read_text<&ManifestSettings::golden>},
+    {"eps", read_double<&ManifestSettings::epsilon>},
+    {"delta", read_double<&ManifestSettings::delta>},
+    {"leakage", read_double<&ManifestSettings::leakage>},
+    {"budget", read_count<&ManifestSettings::budget>},
+    {"seed", read_count<&ManifestSettings::seed>},
+    {"mode", read_text<&ManifestSettings::mode>},
+    {"drop", read_flag<&ManifestSettings::drop>},
+    {"lanes", read_lanes},
+    {"sample", read_count<&ManifestSettings::sample>},
+    {"prune", read_flag<&ManifestSettings::prune>},
+    {"style", read_style},
+    {"granularity", read_granularity},
+    {"top_k", read_count<&ManifestSettings::top_k>},
+};
+static_assert(std::size(kManifestKeys) <= 32, "ManifestSettings::present");
+
+const ManifestKey* find_key(std::string_view name) noexcept {
+  for (const ManifestKey& key : kManifestKeys) {
+    if (key.name == name) return &key;
+  }
+  return nullptr;
+}
+
+// ---- per-kind key appliers -----------------------------------------------
+
+template <typename Field, typename Value>
+void set_if(Field& field, const std::optional<Value>& value) {
+  if (value.has_value()) field = static_cast<Field>(*value);
+}
+
+// The campaign keys, shared by fault-campaign and harden's grading campaign.
+void apply_campaign_keys(const ManifestSettings& s,
+                         fault::CampaignOptions& campaign) {
+  set_if(campaign.patterns, s.budget);
+  set_if(campaign.seed, s.seed);
+  if (s.mode == "exhaustive") {
+    campaign.exhaustive = true;
+  } else if (!s.mode.empty() && s.mode != "random") {
+    throw std::invalid_argument(
+        "manifest: mode must be 'random' or 'exhaustive', got '" + s.mode +
+        "'");
+  }
+  set_if(campaign.drop, s.drop);
+  set_if(campaign.lanes, s.lanes);
+  set_if(campaign.sample, s.sample);
+  set_if(campaign.prune_untestable, s.prune);
+}
+
+RequestOptions reliability_options(const ManifestSettings& s) {
+  ReliabilityRequest spec;
+  spec.epsilon = s.epsilon;
+  set_if(spec.options.trials, s.budget);
+  set_if(spec.options.seed, s.seed);
+  return spec;
+}
+
+RequestOptions worst_case_options(const ManifestSettings& s) {
+  WorstCaseRequest spec;
+  spec.epsilon = s.epsilon;
+  set_if(spec.options.trials_per_input, s.budget);
+  set_if(spec.options.seed, s.seed);
+  return spec;
+}
+
+RequestOptions activity_options(const ManifestSettings& s) {
+  ActivityRequest spec;
+  set_if(spec.options.sample_pairs, s.budget);
+  set_if(spec.options.seed, s.seed);
+  return spec;
+}
+
+RequestOptions sensitivity_options(const ManifestSettings& s) {
+  SensitivityRequest spec;
+  set_if(spec.options.sample_words, s.budget);
+  set_if(spec.options.seed, s.seed);
+  return spec;
+}
+
+RequestOptions energy_bound_options(const ManifestSettings& s) {
+  EnergyBoundRequest spec;
+  spec.epsilon = s.epsilon;
+  spec.delta = s.delta;
+  set_if(spec.energy.leakage_fraction, s.leakage);
+  set_if(spec.profile.activity_pairs, s.budget);
+  set_if(spec.profile.seed, s.seed);
+  return spec;
+}
+
+RequestOptions profile_request_options(const ManifestSettings& s) {
+  ProfileRequest spec;
+  set_if(spec.options.activity_pairs, s.budget);
+  set_if(spec.options.seed, s.seed);
+  return spec;
+}
+
+RequestOptions fault_campaign_options(const ManifestSettings& s) {
+  FaultCampaignRequest spec;
+  apply_campaign_keys(s, spec.options);
+  return spec;
+}
+
+// Structural linting takes no tuning keys; eps/budget/seed are ignored the
+// same way eps is for activity.
+RequestOptions lint_options(const ManifestSettings&) { return LintRequest{}; }
+
+// The comparison reference rides golden=, like every vs-reference kind.
+RequestOptions cec_options(const ManifestSettings& s) {
+  CecRequest spec;
+  set_if(spec.options.seed, s.seed);
+  set_if(spec.options.signature_words, s.budget);
+  return spec;
+}
+
+RequestOptions harden_options(const ManifestSettings& s) {
+  HardenRequest spec;
+  spec.options.epsilon = s.epsilon;
+  spec.options.delta = s.delta;
+  set_if(spec.options.leakage_fraction, s.leakage);
+  apply_campaign_keys(s, spec.options.campaign);
+  set_if(spec.options.style, s.style);
+  set_if(spec.options.granularity, s.granularity);
+  set_if(spec.options.top_k, s.top_k);
+  return spec;
+}
+
+// ---- kind descriptors ----------------------------------------------------
+
+constexpr std::string_view kCampaignKeys[] = {"mode", "drop", "lanes",
+                                              "sample", "prune"};
+constexpr std::string_view kHardenKeys[] = {
+    "mode", "drop", "lanes", "sample", "prune", "style", "granularity",
+    "top_k"};
+
+constexpr KindDescriptor kKinds[] = {
+    {AnalysisKind::kReliability, "reliability", "delta_hat", {},
+     reliability_options},
+    {AnalysisKind::kWorstCase, "worst-case", "worst_delta_hat", {},
+     worst_case_options},
+    {AnalysisKind::kActivity, "activity", "avg_gate_toggle_rate", {},
+     activity_options},
+    {AnalysisKind::kSensitivity, "sensitivity", "sensitivity", {},
+     sensitivity_options},
+    {AnalysisKind::kEnergyBound, "energy-bound", "total_factor", {},
+     energy_bound_options},
+    {AnalysisKind::kProfile, "profile", "size_s0", {},
+     profile_request_options},
+    {AnalysisKind::kFaultCampaign, "fault-campaign", "coverage",
+     kCampaignKeys, fault_campaign_options},
+    {AnalysisKind::kLint, "lint", "errors", {}, lint_options},
+    {AnalysisKind::kCec, "cec", "equivalent", {}, cec_options},
+    {AnalysisKind::kHarden, "harden", "frontier_size", kHardenKeys,
+     harden_options},
+};
+static_assert(std::size(kKinds) == std::variant_size_v<RequestOptions>);
+static_assert([] {
+  for (std::size_t i = 0; i < std::size(kKinds); ++i) {
+    if (static_cast<std::size_t>(kKinds[i].kind) != i) return false;
+  }
+  return true;
+}());
+
+bool lists_key(const KindDescriptor& kind, std::string_view key) noexcept {
+  return std::find(kind.keys.begin(), kind.keys.end(), key) != kind.keys.end();
+}
+
+// Bit k set: kind k lists `key`.
+unsigned listing_kinds(std::string_view key) noexcept {
+  unsigned kinds = 0;
+  for (const KindDescriptor& kind : kKinds) {
+    if (lists_key(kind, key)) kinds |= 1u << static_cast<unsigned>(kind.kind);
+  }
+  return kinds;
+}
+
+// "a", "a and b", "a, b, and c".
+std::string english_list(const std::vector<std::string>& items) {
+  std::string text;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) text += items.size() == 2 ? " " : ", ";
+    if (i > 0 && i + 1 == items.size()) text += "and ";
+    text += items[i];
+  }
+  return text;
+}
+
+// Names `key` together with every other key the same kinds list, and those
+// kinds.
+std::invalid_argument misplaced_key(std::string_view key) {
+  const unsigned kinds = listing_kinds(key);
+  std::vector<std::string> keys;
+  for (std::size_t i = kCommonKeys; i < std::size(kManifestKeys); ++i) {
+    if (listing_kinds(kManifestKeys[i].name) == kinds) {
+      keys.push_back("'" + std::string(kManifestKeys[i].name) + "'");
+    }
+  }
+  std::vector<std::string> names;
+  for (const KindDescriptor& kind : kKinds) {
+    if (lists_key(kind, key)) names.push_back("kind=" + std::string(kind.name));
+  }
+  return std::invalid_argument("manifest: keys " + english_list(keys) +
+                               " only apply to " + english_list(names));
 }
 
 }  // namespace
 
 std::string canonical_spec(const RequestOptions& options) {
-  return std::visit([](const auto& spec) { return spec_of(spec); }, options);
+  SpecWriter w(to_string(static_cast<AnalysisKind>(options.index())));
+  std::visit([&w](const auto& spec) { write_spec(w, spec); }, options);
+  return w.str();
+}
+
+const KindDescriptor& descriptor(AnalysisKind kind) noexcept {
+  return kKinds[static_cast<std::size_t>(kind)];
 }
 
 const char* to_string(AnalysisKind kind) noexcept {
-  switch (kind) {
-    case AnalysisKind::kReliability:
-      return "reliability";
-    case AnalysisKind::kWorstCase:
-      return "worst-case";
-    case AnalysisKind::kActivity:
-      return "activity";
-    case AnalysisKind::kSensitivity:
-      return "sensitivity";
-    case AnalysisKind::kEnergyBound:
-      return "energy-bound";
-    case AnalysisKind::kProfile:
-      return "profile";
-    case AnalysisKind::kFaultCampaign:
-      return "fault-campaign";
-    case AnalysisKind::kLint:
-      return "lint";
-    case AnalysisKind::kCec:
-      return "cec";
-    case AnalysisKind::kHarden:
-      return "harden";
-  }
-  return "unknown";
+  return descriptor(kind).name;
 }
 
-std::optional<AnalysisKind> parse_analysis_kind(std::string_view name) {
-  std::string canonical(name);
-  std::replace(canonical.begin(), canonical.end(), '_', '-');
-  if (canonical == "reliability") return AnalysisKind::kReliability;
-  if (canonical == "worst-case") return AnalysisKind::kWorstCase;
-  if (canonical == "activity") return AnalysisKind::kActivity;
-  if (canonical == "sensitivity") return AnalysisKind::kSensitivity;
-  if (canonical == "energy-bound") return AnalysisKind::kEnergyBound;
-  if (canonical == "profile") return AnalysisKind::kProfile;
-  if (canonical == "fault-campaign") return AnalysisKind::kFaultCampaign;
-  if (canonical == "lint") return AnalysisKind::kLint;
-  if (canonical == "cec") return AnalysisKind::kCec;
-  if (canonical == "harden") return AnalysisKind::kHarden;
+std::optional<AnalysisKind> parse_analysis_kind(
+    std::string_view name) noexcept {
+  const auto same = [](char given, char canonical) {
+    return given == canonical || (given == '_' && canonical == '-');
+  };
+  for (const KindDescriptor& kind : kKinds) {
+    const std::string_view canonical = kind.name;
+    if (std::equal(name.begin(), name.end(), canonical.begin(),
+                   canonical.end(), same)) {
+      return kind.kind;
+    }
+  }
   return std::nullopt;
+}
+
+const core::ProfileOptions* profile_options(
+    const RequestOptions& options) noexcept {
+  if (const auto* bound = std::get_if<EnergyBoundRequest>(&options)) {
+    return bound->profile_override.has_value() ? nullptr : &bound->profile;
+  }
+  if (const auto* profile = std::get_if<ProfileRequest>(&options)) {
+    return &profile->options;
+  }
+  return nullptr;
+}
+
+bool is_manifest_key(std::string_view key) noexcept {
+  return find_key(key) != nullptr;
+}
+
+std::optional<ManifestLine> parse_manifest_line(const std::string& text,
+                                                std::size_t line_number) {
+  std::istringstream tokens(text);
+  ManifestLine line;
+  if (!(tokens >> line.name) || line.name.front() == '#') return std::nullopt;
+
+  const auto fail = [&](const std::string& message) {
+    return std::invalid_argument("manifest line " +
+                                 std::to_string(line_number) + ": " + message);
+  };
+  std::optional<AnalysisKind> kind;
+  std::string token;
+  while (tokens >> token) {
+    const std::size_t eq = token.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
+      throw fail("expected key=value, got '" + token + "'");
+    }
+    const std::string_view key = std::string_view(token).substr(0, eq);
+    const std::string value = token.substr(eq + 1);
+    if (key == "kind") {
+      kind = parse_analysis_kind(value);
+      if (!kind.has_value()) throw fail("unknown kind '" + value + "'");
+    } else if (key == "circuit") {
+      line.circuit = value;
+    } else if (const ManifestKey* entry = find_key(key)) {
+      if (const std::string error = entry->read(line.settings, key, value);
+          !error.empty()) {
+        throw fail(error);
+      }
+      line.settings.present |= 1u << (entry - kManifestKeys);
+    } else {
+      throw fail("unknown key '" + std::string(key) + "'");
+    }
+  }
+  if (!kind.has_value()) throw fail("missing kind=");
+  if (line.circuit.empty()) throw fail("missing circuit=");
+  line.kind = *kind;
+  return line;
+}
+
+RequestOptions request_options(const ManifestLine& line) {
+  const KindDescriptor& kind = descriptor(line.kind);
+  for (std::size_t i = kCommonKeys; i < std::size(kManifestKeys); ++i) {
+    if ((line.settings.present >> i & 1u) != 0 &&
+        !lists_key(kind, kManifestKeys[i].name)) {
+      throw misplaced_key(kManifestKeys[i].name);
+    }
+  }
+  return kind.apply(line.settings);
 }
 
 std::optional<double> AnalysisResult::metric(std::string_view name) const {

@@ -11,7 +11,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -45,9 +47,11 @@ enum class AnalysisKind {
   kHarden,        // redundancy-insertion Pareto sweep (style x granularity x K)
 };
 
+// The kind's name (descriptor(kind).name).
 [[nodiscard]] const char* to_string(AnalysisKind kind) noexcept;
+// The kind named `name`; '_' may stand for '-' ("worst_case").
 [[nodiscard]] std::optional<AnalysisKind> parse_analysis_kind(
-    std::string_view name);
+    std::string_view name) noexcept;
 
 // ---- per-kind request options --------------------------------------------
 
@@ -117,6 +121,85 @@ using RequestOptions =
     std::variant<ReliabilityRequest, WorstCaseRequest, ActivityRequest,
                  SensitivityRequest, EnergyBoundRequest, ProfileRequest,
                  FaultCampaignRequest, LintRequest, CecRequest, HardenRequest>;
+
+// The profile options a request extracts with — an EnergyBoundRequest
+// without a profile override and a ProfileRequest — or nullptr for a request
+// that consumes no extracted profile.
+[[nodiscard]] const core::ProfileOptions* profile_options(
+    const RequestOptions& options) noexcept;
+
+// ---- manifest lines and kind descriptors ---------------------------------
+//
+// A manifest line is
+//   <name> kind=<kind> circuit=<spec> [key=value ...]
+// with keys in any order. Every kind takes the common keys golden, eps,
+// delta, leakage, budget and seed (ignoring those it has no use for);
+// other keys only apply to the kinds whose descriptor lists them.
+
+// Every key a manifest line can set, read and range-checked before the
+// kind is known; the kind's descriptor turns them into request options.
+struct ManifestSettings {
+  std::string golden;  // reference circuit spec; empty = none
+  double epsilon = 0.01;
+  double delta = 0.01;
+  std::optional<double> leakage;  // energy-bound leakage share
+  // The kind's primary Monte-Carlo knob (reliability trials, worst-case
+  // trials per input, activity pairs, sensitivity sample words, profile
+  // activity pairs, campaign patterns, cec signature words).
+  std::optional<std::uint64_t> budget;
+  std::optional<std::uint64_t> seed;  // the kind's master stream seed
+  // Campaign keys: the pattern source ("random" | "exhaustive", checked
+  // when applied), fault dropping, SIMD lane width (execution policy, not
+  // part of the canonical spec), sampled class count (0 = all) and
+  // untestable-class pruning.
+  std::string mode;
+  std::optional<bool> drop;
+  std::optional<fault::LaneWidth> lanes;
+  std::optional<std::uint64_t> sample;
+  std::optional<bool> prune;
+  // Harden sweep axes; absent = sweep the full axis.
+  std::optional<harden::Style> style;
+  std::optional<harden::Granularity> granularity;
+  std::optional<std::uint64_t> top_k;
+  // Bit i set: the i-th manifest key appeared on the line.
+  std::uint32_t present = 0;
+};
+
+struct ManifestLine {
+  std::string name;
+  AnalysisKind kind = AnalysisKind::kReliability;
+  std::string circuit;  // circuit spec: suite name or .bench path
+  ManifestSettings settings;
+};
+
+// Everything the layers above need to know about one kind.
+struct KindDescriptor {
+  AnalysisKind kind;
+  const char* name;  // kind= value, result "kind" field, spec prefix
+  // The metric row summary tables and served result frames lead with.
+  const char* headline;
+  // Manifest keys accepted beyond the common ones.
+  std::span<const std::string_view> keys;
+  // Sets the kind's request options from a line's settings; throws
+  // std::invalid_argument for a value the kind cannot take.
+  RequestOptions (*apply)(const ManifestSettings& settings);
+};
+
+[[nodiscard]] const KindDescriptor& descriptor(AnalysisKind kind) noexcept;
+
+// True for every key a manifest line may carry besides kind= and circuit=.
+[[nodiscard]] bool is_manifest_key(std::string_view key) noexcept;
+
+// Parses one manifest line; nullopt for a blank or '#' comment line. Throws
+// std::invalid_argument ("manifest line <n>: ..." for malformed tokens,
+// unknown kinds and keys, missing kind=/circuit= and out-of-range values;
+// "manifest: ..." for non-numeric values).
+[[nodiscard]] std::optional<ManifestLine> parse_manifest_line(
+    const std::string& text, std::size_t line_number);
+
+// The line's request options: rejects keys its kind does not list, then
+// applies the kind's descriptor. Throws std::invalid_argument.
+[[nodiscard]] RequestOptions request_options(const ManifestLine& line);
 
 struct AnalysisRequest {
   std::string name;

@@ -17,19 +17,17 @@
 #include "exec/thread_pool.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault_model.hpp"
-#include "fault/lanes.hpp"
 #include "harden/pareto.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report/csv.hpp"
-#include "util/numeric.hpp"
+#include "util/json.hpp"
 #include "util/sync.hpp"
 
 namespace enb::exec {
 
 namespace {
 
-using analysis::AnalysisKind;
 using analysis::AnalysisRequest;
 using analysis::AnalysisResult;
 using analysis::CompiledCircuit;
@@ -40,11 +38,31 @@ const Circuit& golden_of(const AnalysisRequest& request) {
                                     : request.circuit.circuit();
 }
 
+// Error isolation for a unit of work (a request or an extraction group): the
+// first failing task records its message and the unit's remaining tasks
+// turn into no-ops; other units are unaffected.
+struct FailureSlot {
+  std::atomic<bool> failed{false};
+  util::Mutex mutex;  // guards error and the unit's shared results
+  std::string error ENB_GUARDED_BY(mutex);
+
+  void record_error(const std::string& message) {
+    const util::LockGuard lock(mutex);
+    if (!failed.load(std::memory_order_relaxed)) error = message;
+    failed.store(true, std::memory_order_relaxed);
+  }
+
+  std::string error_text() {
+    const util::LockGuard lock(mutex);
+    return error;
+  }
+};
+
 // One profile extraction shared by every request in the batch that names the
 // same (handle, profile options): the core::ProfileExtraction's tasks enter
 // the flat task space exactly once and the finished profile lands in the
 // handle's cache. The group only adds the batch's bookkeeping.
-struct ExtractionGroup {
+struct ExtractionGroup : FailureSlot {
   // Validates exactly like core::extract_profile (the extraction's
   // constructor throws).
   ExtractionGroup(CompiledCircuit handle, const core::ProfileOptions& opts)
@@ -58,28 +76,14 @@ struct ExtractionGroup {
   core::ProfileExtraction extraction;
 
   std::atomic<std::size_t> remaining;
-  std::atomic<bool> failed{false};
   // Stamped at group creation; assemble() observes the extraction histogram
   // and trace span from it, so the span covers the sharded extraction
   // wall-clock (queueing included) like the serial path's span does.
   std::chrono::steady_clock::time_point started =
       std::chrono::steady_clock::now();
-  util::Mutex mutex;  // guards error and the profile
-  std::string error ENB_GUARDED_BY(mutex);
   // Set once by assemble(); dependents read it under the lock in finalize.
   std::optional<core::CircuitProfile> profile ENB_GUARDED_BY(mutex);
   std::vector<std::size_t> dependents;  // request indices
-
-  void record_error(const std::string& message) {
-    const util::LockGuard lock(mutex);
-    if (!failed.load(std::memory_order_relaxed)) error = message;
-    failed.store(true, std::memory_order_relaxed);
-  }
-
-  std::string error_text() {
-    const util::LockGuard lock(mutex);
-    return error;
-  }
 
   // Run by whichever worker finishes the last task; the profile is stored
   // both here (for this batch's dependents) and in the handle's cache (for
@@ -105,10 +109,11 @@ struct ExtractionGroup {
   }
 };
 
-// All per-request mutable state for one batch run. Accumulators merge
-// commutatively (sums, max, slot-per-shard writes), so shard completion
-// order never reaches the result.
-struct JobState {
+// All per-request mutable state for one batch run. A request's shard
+// accumulators live in its task closures and merge commutatively (sums,
+// slot-per-shard writes) under the state's lock, so shard completion order
+// never reaches the result.
+struct JobState : FailureSlot {
   const AnalysisRequest* request = nullptr;
   // Prepare-time stamp; emission computes the job's wall-clock elapsed from
   // it (observability only — never part of the result's serialized bytes).
@@ -121,242 +126,231 @@ struct JobState {
   // Completion units left: own tasks + (extraction ? 1 : 0). The thread that
   // takes this to zero finalizes and emits the result.
   std::atomic<std::size_t> pending{0};
-
-  // Error isolation: the first failing task records the message and the
-  // request's remaining tasks turn into no-ops; other requests are
-  // unaffected.
-  std::atomic<bool> failed{false};
-  util::Mutex mutex;  // guards error and non-atomic accumulators
-  std::string error ENB_GUARDED_BY(mutex);
-
-  // kReliability
-  std::atomic<std::uint64_t> failures{0};
-  // kWorstCase: slot per sample (disjoint writes; no lock needed)
-  std::vector<std::uint64_t> sample_failures;
-  // kActivity
-  std::unique_ptr<sim::ActivityCounts> activity_counts
-      ENB_PT_GUARDED_BY(mutex);
-  // kSensitivity
-  std::unique_ptr<sim::SensitivityCounts> sensitivity_counts
-      ENB_PT_GUARDED_BY(mutex);
-  // kEnergyBound via override or cached profile: single writer (task 0).
-  std::optional<core::BoundReport> report;
-  // Profile found in the handle's cache at prepare time.
+  // Profile consumers: the profile found in the handle's cache at prepare
+  // time (else `extraction` supplies it).
   std::optional<core::CircuitProfile> cached_profile;
-  // kFaultCampaign: the universe is built once at prepare time and shared
-  // (read-only) by every pattern shard; counts merge commutatively.
-  std::shared_ptr<const fault::FaultUniverse> fault_universe;
-  std::unique_ptr<fault::CampaignCounts> campaign_counts
-      ENB_PT_GUARDED_BY(mutex);
-  // kLint: single task, single writer.
-  std::optional<analysis::LintReport> lint ENB_GUARDED_BY(mutex);
-  // kCec: single task, single writer.
-  std::optional<analysis::CecResult> cec ENB_GUARDED_BY(mutex);
-  // kHarden: single task, single writer — the sweep drives its own nested
-  // batch, which runs inline on this worker (pool reentrancy contract).
-  std::optional<harden::ParetoResult> harden ENB_GUARDED_BY(mutex);
-
-  void record_error(const std::string& message) {
-    const util::LockGuard lock(mutex);
-    if (!failed.load(std::memory_order_relaxed)) error = message;
-    failed.store(true, std::memory_order_relaxed);
-  }
-
-  std::string error_text() {
-    const util::LockGuard lock(mutex);
-    return error;
-  }
+  // Requests evaluated whole by one task (run_once): its payload.
+  std::optional<analysis::ResultPayload> payload ENB_GUARDED_BY(mutex);
 };
-
-void finish_with_payload(AnalysisResult& result,
-                         analysis::ResultPayload payload) {
-  analysis::set_payload(result, std::move(payload));
-}
 
 // ---- per-kind preparation -------------------------------------------------
 //
-// Each prepare_* validates the request spec (throwing like the standalone
-// estimator would), sizes the task space, and installs the task body and
-// the finalize reduction. Task bodies only call the estimators' shard-level
-// building blocks, which is what makes batched results bit-identical to
-// direct calls.
+// One prepare overload per request struct validates the spec (throwing like
+// the standalone estimator would), sizes the task space, and installs the
+// task body and the finalize reduction. Task bodies only call the
+// estimators' shard-level building blocks, which is what makes batched
+// results bit-identical to direct calls.
 
-void prepare_reliability(const AnalysisRequest& request,
-                         const analysis::ReliabilityRequest& spec,
-                         JobState& state) {
-  sim::validate_reliability_inputs(request.circuit.circuit(),
-                                   golden_of(request), spec.options);
-  const ShardPlan plan = sim::reliability_shard_plan(spec.options);
-  state.num_tasks = plan.num_shards();
-  state.run_task = [plan, &spec](JobState& s, std::size_t shard) {
-    s.failures.fetch_add(
-        sim::reliability_shard_failures(
-            s.request->circuit.circuit(), golden_of(*s.request), spec.epsilon,
-            spec.options, plan.shard(shard)),
-        std::memory_order_relaxed);
+struct Preparation {
+  const AnalysisRequest& request;
+  JobState& state;
+  Parallelism how;  // the batch's
+};
+
+// A sharded request: shard i's counts (`shard(request, i)`) merge into one
+// total that `finish(request, total)` turns into the payload.
+template <typename Counts>
+void merge_into(Counts& total, const Counts& shard) {
+  total.merge(shard);
+}
+void merge_into(std::uint64_t& total, std::uint64_t shard) { total += shard; }
+
+template <typename Counts, typename Shard, typename Finish>
+void run_sharded(JobState& state, std::size_t shards, Counts total,
+                 Shard shard, Finish finish) {
+  auto counts = std::make_shared<Counts>(std::move(total));
+  state.num_tasks = shards;
+  state.run_task = [counts, shard = std::move(shard)](JobState& s,
+                                                     std::size_t i) {
+    const Counts local = shard(*s.request, i);
+    const util::LockGuard lock(s.mutex);
+    merge_into(*counts, local);
   };
-  state.finalize = [plan, &spec](JobState& s, AnalysisResult& r) {
-    sim::ReliabilityResult rel =
-        sim::wilson_interval(s.failures.load(), plan.total() * sim::kWordBits);
-    rel.requested_trials = spec.options.trials;
-    finish_with_payload(r, std::move(rel));
+  state.finalize = [counts, finish = std::move(finish)](JobState& s,
+                                                       AnalysisResult& r) {
+    const util::LockGuard lock(s.mutex);
+    analysis::set_payload(r, finish(*s.request, *counts));
   };
 }
 
-void prepare_worst_case(const AnalysisRequest& request,
-                        const analysis::WorstCaseRequest& spec,
-                        JobState& state) {
-  sim::validate_worst_case_inputs(request.circuit.circuit(),
-                                  golden_of(request), spec.options);
-  state.sample_failures.assign(
+void prepare(const analysis::ReliabilityRequest& spec, const Preparation& p) {
+  sim::validate_reliability_inputs(p.request.circuit.circuit(),
+                                   golden_of(p.request), spec.options);
+  const ShardPlan plan = sim::reliability_shard_plan(spec.options);
+  run_sharded(
+      p.state, plan.num_shards(), std::uint64_t{0},
+      [plan, &spec](const AnalysisRequest& request, std::size_t shard) {
+        return sim::reliability_shard_failures(
+            request.circuit.circuit(), golden_of(request), spec.epsilon,
+            spec.options, plan.shard(shard));
+      },
+      [plan, &spec](const AnalysisRequest&, std::uint64_t failures) {
+        sim::ReliabilityResult rel =
+            sim::wilson_interval(failures, plan.total() * sim::kWordBits);
+        rel.requested_trials = spec.options.trials;
+        return rel;
+      });
+}
+
+void prepare(const analysis::WorstCaseRequest& spec, const Preparation& p) {
+  sim::validate_worst_case_inputs(p.request.circuit.circuit(),
+                                  golden_of(p.request), spec.options);
+  // One slot per sampled input: disjoint writes, no lock needed.
+  auto failures = std::make_shared<std::vector<std::uint64_t>>(
       static_cast<std::size_t>(spec.options.num_inputs), 0);
-  state.num_tasks = state.sample_failures.size();
-  state.run_task = [&spec](JobState& s, std::size_t sample) {
-    s.sample_failures[sample] = sim::worst_case_sample_failures(
+  p.state.num_tasks = failures->size();
+  p.state.run_task = [failures, &spec](JobState& s, std::size_t sample) {
+    (*failures)[sample] = sim::worst_case_sample_failures(
         s.request->circuit.circuit(), golden_of(*s.request), spec.epsilon,
         spec.options, sample);
   };
-  state.finalize = [&spec](JobState& s, AnalysisResult& r) {
-    finish_with_payload(
+  p.state.finalize = [failures, &spec](JobState& s, AnalysisResult& r) {
+    analysis::set_payload(
         r, sim::finalize_worst_case(s.request->circuit.circuit(), spec.options,
-                                    s.sample_failures));
+                                    *failures));
   };
 }
 
-void prepare_activity(const AnalysisRequest& request,
-                      const analysis::ActivityRequest& spec, JobState& state) {
+void prepare(const analysis::ActivityRequest& spec, const Preparation& p) {
   sim::validate_activity_inputs(spec.options);
   const ShardPlan plan = sim::activity_shard_plan(spec.options);
-  state.activity_counts = std::make_unique<sim::ActivityCounts>(
-      request.circuit.circuit().node_count());
-  state.num_tasks = plan.num_shards();
-  auto flat =
-      std::make_shared<const sim::FlatCircuit>(request.circuit.circuit());
-  state.run_task = [plan, flat, &spec](JobState& s, std::size_t shard) {
-    const sim::ActivityCounts local =
-        sim::activity_shard_counts(*flat, spec.options, plan.shard(shard));
-    const util::LockGuard lock(s.mutex);
-    s.activity_counts->merge(local);
-  };
-  state.finalize = [&spec](JobState& s, AnalysisResult& r) {
-    const util::LockGuard lock(s.mutex);
-    finish_with_payload(
-        r, sim::finalize_activity(s.request->circuit.circuit(), spec.options,
-                                  *s.activity_counts));
+  const Circuit& circuit = p.request.circuit.circuit();
+  auto flat = std::make_shared<const sim::FlatCircuit>(circuit);
+  run_sharded(
+      p.state, plan.num_shards(), sim::ActivityCounts(circuit.node_count()),
+      [plan, flat, &spec](const AnalysisRequest&, std::size_t shard) {
+        return sim::activity_shard_counts(*flat, spec.options,
+                                          plan.shard(shard));
+      },
+      [&spec](const AnalysisRequest& request,
+              const sim::ActivityCounts& counts) {
+        return sim::finalize_activity(request.circuit.circuit(), spec.options,
+                                      counts);
+      });
+}
+
+void prepare(const analysis::SensitivityRequest& spec, const Preparation& p) {
+  const Circuit& circuit = p.request.circuit.circuit();
+  sim::validate_sensitivity_inputs(circuit, spec.options);
+  const ShardPlan plan = sim::sensitivity_shard_plan(circuit, spec.options);
+  auto flat = std::make_shared<const sim::FlatCircuit>(circuit);
+  run_sharded(
+      p.state, plan.num_shards(),
+      sim::SensitivityCounts(circuit.num_inputs()),
+      [plan, flat, &spec](const AnalysisRequest&, std::size_t shard) {
+        return sim::sensitivity_shard_counts(*flat, spec.options,
+                                             plan.shard(shard));
+      },
+      [&spec](const AnalysisRequest& request,
+              const sim::SensitivityCounts& counts) {
+        return sim::finalize_sensitivity(request.circuit.circuit(),
+                                         spec.options, counts);
+      });
+}
+
+// The profile a profile consumer analyzes: the handle's cached copy, or the
+// one its extraction group assembled.
+core::CircuitProfile profile_of(JobState& s) {
+  if (s.cached_profile.has_value()) return *s.cached_profile;
+  const util::LockGuard lock(s.extraction->mutex);
+  return *s.extraction->profile;
+}
+
+// Profile consumers add no tasks of their own: prepare() has already found
+// their profile in the handle's cache or joined them to an extraction group.
+void prepare(const analysis::EnergyBoundRequest& spec, const Preparation& p) {
+  p.state.finalize = [&spec](JobState& s, AnalysisResult& r) {
+    if (spec.profile_override.has_value()) {
+      analysis::set_payload(r, core::analyze(*spec.profile_override,
+                                             spec.epsilon, spec.delta,
+                                             spec.energy));
+      return;
+    }
+    core::CircuitProfile profile = profile_of(s);
+    analysis::set_payload(
+        r, core::analyze(profile, spec.epsilon, spec.delta, spec.energy));
+    r.profile = std::move(profile);
   };
 }
 
-void prepare_sensitivity(const AnalysisRequest& request,
-                         const analysis::SensitivityRequest& spec,
-                         JobState& state) {
-  sim::validate_sensitivity_inputs(request.circuit.circuit(), spec.options);
-  const ShardPlan plan =
-      sim::sensitivity_shard_plan(request.circuit.circuit(), spec.options);
-  state.sensitivity_counts = std::make_unique<sim::SensitivityCounts>(
-      request.circuit.circuit().num_inputs());
-  state.num_tasks = plan.num_shards();
-  auto flat =
-      std::make_shared<const sim::FlatCircuit>(request.circuit.circuit());
-  state.run_task = [plan, flat, &spec](JobState& s, std::size_t shard) {
-    const sim::SensitivityCounts local =
-        sim::sensitivity_shard_counts(*flat, spec.options, plan.shard(shard));
-    const util::LockGuard lock(s.mutex);
-    s.sensitivity_counts->merge(local);
-  };
-  state.finalize = [&spec](JobState& s, AnalysisResult& r) {
-    const util::LockGuard lock(s.mutex);
-    finish_with_payload(
-        r, sim::finalize_sensitivity(s.request->circuit.circuit(), spec.options,
-                                     *s.sensitivity_counts));
+void prepare(const analysis::ProfileRequest&, const Preparation& p) {
+  p.state.finalize = [](JobState& s, AnalysisResult& r) {
+    analysis::set_payload(r, profile_of(s));
   };
 }
 
-void prepare_fault_campaign(const AnalysisRequest& request,
-                            const analysis::FaultCampaignRequest& spec,
-                            JobState& state) {
-  const Circuit& circuit = request.circuit.circuit();
-  const Circuit& golden = golden_of(request);
+// The fault universe is built once at prepare time and shared (read-only)
+// by every pattern shard.
+void prepare(const analysis::FaultCampaignRequest& spec,
+             const Preparation& p) {
+  const Circuit& circuit = p.request.circuit.circuit();
+  const Circuit& golden = golden_of(p.request);
   fault::validate_campaign_inputs(circuit, golden, spec.options);
-  state.fault_universe = std::make_shared<const fault::FaultUniverse>(
+  auto universe = std::make_shared<const fault::FaultUniverse>(
       fault::FaultUniverse::build(circuit, spec.options.collapse,
                                   spec.options.prune_untestable));
-  state.campaign_counts = std::make_unique<fault::CampaignCounts>(
-      state.fault_universe->num_classes());
   const ShardPlan plan = fault::campaign_shard_plan(golden, spec.options);
-  state.num_tasks = plan.num_shards();
-  state.run_task = [plan, &spec](JobState& s, std::size_t shard) {
-    const fault::CampaignCounts local = fault::campaign_shard_counts(
-        s.request->circuit.circuit(), golden_of(*s.request),
-        *s.fault_universe, spec.options, plan.shard(shard));
-    const util::LockGuard lock(s.mutex);
-    s.campaign_counts->merge(local);
-  };
-  state.finalize = [&spec](JobState& s, AnalysisResult& r) {
-    const util::LockGuard lock(s.mutex);
-    finish_with_payload(
-        r, fault::finalize_campaign(s.request->circuit.circuit(),
-                                    golden_of(*s.request), *s.fault_universe,
-                                    spec.options, *s.campaign_counts));
-  };
+  run_sharded(
+      p.state, plan.num_shards(),
+      fault::CampaignCounts(universe->num_classes()),
+      [plan, universe, &spec](const AnalysisRequest& request,
+                              std::size_t shard) {
+        return fault::campaign_shard_counts(
+            request.circuit.circuit(), golden_of(request), *universe,
+            spec.options, plan.shard(shard));
+      },
+      [universe, &spec](const AnalysisRequest& request,
+                        const fault::CampaignCounts& counts) {
+        return fault::finalize_campaign(request.circuit.circuit(),
+                                        golden_of(request), *universe,
+                                        spec.options, counts);
+      });
 }
 
-void prepare_lint(const AnalysisRequest& request,
-                  const analysis::LintRequest& spec, JobState& state) {
-  (void)request.circuit.circuit();  // throws on an empty handle, like the rest
+// A request evaluated whole by one task: `compute` maps the request to its
+// payload, which finalize installs.
+template <typename Compute>
+void run_once(JobState& state, Compute compute) {
+  (void)state.request->circuit.circuit();  // throws on an empty handle
   state.num_tasks = 1;
-  state.run_task = [&spec](JobState& s, std::size_t) {
-    analysis::LintReport report =
-        analysis::lint_circuit(s.request->circuit.circuit(), spec.options);
+  state.run_task = [compute = std::move(compute)](JobState& s, std::size_t) {
+    analysis::ResultPayload payload = compute(*s.request);
     const util::LockGuard lock(s.mutex);
-    s.lint = std::move(report);
+    s.payload = std::move(payload);
   };
   state.finalize = [](JobState& s, AnalysisResult& r) {
     const util::LockGuard lock(s.mutex);
-    finish_with_payload(r, std::move(*s.lint));
+    analysis::set_payload(r, std::move(*s.payload));
   };
 }
 
-void prepare_cec(const AnalysisRequest& request,
-                 const analysis::CecRequest& spec, JobState& state) {
-  (void)request.circuit.circuit();  // throws on an empty handle
-  if (!request.golden.has_value()) {
+void prepare(const analysis::LintRequest& spec, const Preparation& p) {
+  run_once(p.state, [&spec](const AnalysisRequest& request) {
+    return analysis::lint_circuit(request.circuit.circuit(), spec.options);
+  });
+}
+
+void prepare(const analysis::CecRequest& spec, const Preparation& p) {
+  run_once(p.state, [&spec](const AnalysisRequest& request) {
+    return analysis::check_equivalence(request.circuit.circuit(),
+                                       request.golden->circuit(), spec.options);
+  });
+  if (!p.request.golden.has_value()) {
     throw std::invalid_argument(
         "cec requires a golden circuit to compare against");
   }
-  state.num_tasks = 1;
-  state.run_task = [&spec](JobState& s, std::size_t) {
-    analysis::CecResult result = analysis::check_equivalence(
-        s.request->circuit.circuit(), s.request->golden->circuit(),
-        spec.options);
-    const util::LockGuard lock(s.mutex);
-    s.cec = std::move(result);
-  };
-  state.finalize = [](JobState& s, AnalysisResult& r) {
-    const util::LockGuard lock(s.mutex);
-    finish_with_payload(r, std::move(*s.cec));
-  };
 }
 
-// The sweep's nested batch runs serially when this batch is serial and on
-// the global pool otherwise — never on a dedicated pool, which would start
-// a pool per concurrent harden job.
-void prepare_harden(const AnalysisRequest& request,
-                    const analysis::HardenRequest& spec, JobState& state,
-                    Parallelism how) {
-  (void)request.circuit.circuit();  // throws on an empty handle
-  const Parallelism nested = how.threads == 1 ? Parallelism::serial()
-                                              : Parallelism::global_pool();
-  state.num_tasks = 1;
-  state.run_task = [&spec, nested](JobState& s, std::size_t) {
-    harden::ParetoResult result =
-        harden::pareto_sweep(s.request->circuit, spec.options, nested);
-    const util::LockGuard lock(s.mutex);
-    s.harden = std::move(result);
-  };
-  state.finalize = [](JobState& s, AnalysisResult& r) {
-    const util::LockGuard lock(s.mutex);
-    finish_with_payload(r, std::move(*s.harden));
-  };
+// The sweep drives its own nested batch, inline on this worker (pool
+// reentrancy contract): serially when this batch is serial and on the global
+// pool otherwise — never on a dedicated pool, which would start a pool per
+// concurrent harden job.
+void prepare(const analysis::HardenRequest& spec, const Preparation& p) {
+  const Parallelism nested = p.how.threads == 1 ? Parallelism::serial()
+                                                : Parallelism::global_pool();
+  run_once(p.state, [&spec, nested](const AnalysisRequest& request) {
+    return harden::pareto_sweep(request.circuit, spec.options, nested);
+  });
 }
 
 // Finds or creates the extraction group for (request.circuit, options).
@@ -375,98 +369,20 @@ ExtractionGroup& join_extraction_group(
   return group;
 }
 
-void prepare_energy_bound(std::size_t job_index, const AnalysisRequest& request,
-                          const analysis::EnergyBoundRequest& spec,
-                          JobState& state,
-                          std::deque<ExtractionGroup>& groups) {
-  const auto analyze_metrics = [](JobState& s, AnalysisResult& r) {
-    finish_with_payload(r, *s.report);
-    if (s.cached_profile.has_value()) r.profile = std::move(s.cached_profile);
-  };
-
-  if (spec.profile_override.has_value()) {
-    state.num_tasks = 1;
-    state.run_task = [&spec](JobState& s, std::size_t) {
-      s.report = core::analyze(*spec.profile_override, spec.epsilon, spec.delta,
-                               spec.energy);
-    };
-    state.finalize = analyze_metrics;
-    return;
-  }
-  if (auto cached = request.circuit.cached_profile(spec.profile);
-      cached.has_value()) {
-    state.cached_profile = std::move(cached);
-    state.num_tasks = 1;
-    state.run_task = [&spec](JobState& s, std::size_t) {
-      s.report = core::analyze(*s.cached_profile, spec.epsilon, spec.delta,
-                               spec.energy);
-    };
-    state.finalize = analyze_metrics;
-    return;
-  }
-  state.extraction = &join_extraction_group(job_index, request, spec.profile,
-                                            groups);
-  state.finalize = [&spec](JobState& s, AnalysisResult& r) {
-    const util::LockGuard lock(s.extraction->mutex);
-    const core::CircuitProfile& profile = *s.extraction->profile;
-    finish_with_payload(
-        r, core::analyze(profile, spec.epsilon, spec.delta, spec.energy));
-    r.profile = profile;
-  };
-}
-
-void prepare_profile(std::size_t job_index, const AnalysisRequest& request,
-                     const analysis::ProfileRequest& spec, JobState& state,
-                     std::deque<ExtractionGroup>& groups) {
-  if (auto cached = request.circuit.cached_profile(spec.options);
-      cached.has_value()) {
-    state.cached_profile = std::move(cached);
-    state.finalize = [](JobState& s, AnalysisResult& r) {
-      finish_with_payload(r, std::move(*s.cached_profile));
-    };
-    return;
-  }
-  state.extraction =
-      &join_extraction_group(job_index, request, spec.options, groups);
-  state.finalize = [](JobState& s, AnalysisResult& r) {
-    const util::LockGuard lock(s.extraction->mutex);
-    finish_with_payload(r, *s.extraction->profile);
-  };
-}
-
 void prepare(std::size_t job_index, const AnalysisRequest& request,
              JobState& state, std::deque<ExtractionGroup>& groups,
              Parallelism how) {
-  std::visit(
-      [&](const auto& spec) {
-        using Spec = std::decay_t<decltype(spec)>;
-        if constexpr (std::is_same_v<Spec, analysis::ReliabilityRequest>) {
-          prepare_reliability(request, spec, state);
-        } else if constexpr (std::is_same_v<Spec, analysis::WorstCaseRequest>) {
-          prepare_worst_case(request, spec, state);
-        } else if constexpr (std::is_same_v<Spec, analysis::ActivityRequest>) {
-          prepare_activity(request, spec, state);
-        } else if constexpr (std::is_same_v<Spec,
-                                            analysis::SensitivityRequest>) {
-          prepare_sensitivity(request, spec, state);
-        } else if constexpr (std::is_same_v<Spec,
-                                            analysis::EnergyBoundRequest>) {
-          prepare_energy_bound(job_index, request, spec, state, groups);
-        } else if constexpr (std::is_same_v<Spec, analysis::ProfileRequest>) {
-          prepare_profile(job_index, request, spec, state, groups);
-        } else if constexpr (std::is_same_v<Spec,
-                                            analysis::FaultCampaignRequest>) {
-          prepare_fault_campaign(request, spec, state);
-        } else if constexpr (std::is_same_v<Spec, analysis::LintRequest>) {
-          prepare_lint(request, spec, state);
-        } else if constexpr (std::is_same_v<Spec, analysis::CecRequest>) {
-          prepare_cec(request, spec, state);
-        } else {
-          static_assert(std::is_same_v<Spec, analysis::HardenRequest>);
-          prepare_harden(request, spec, state, how);
-        }
-      },
-      request.options);
+  if (const core::ProfileOptions* profile =
+          analysis::profile_options(request.options)) {
+    state.cached_profile = request.circuit.cached_profile(*profile);
+    if (!state.cached_profile.has_value()) {
+      state.extraction =
+          &join_extraction_group(job_index, request, *profile, groups);
+    }
+  }
+  const Preparation preparation{request, state, how};
+  std::visit([&](const auto& spec) { prepare(spec, preparation); },
+             request.options);
 }
 
 }  // namespace
@@ -667,317 +583,27 @@ std::vector<analysis::AnalysisResult> evaluate_requests(
 
 // ---- manifest / output plumbing ------------------------------------------
 
-namespace {
-
-double parse_manifest_double(const std::string& key, const std::string& value) {
-  double parsed = 0.0;
-  if (!util::parse_double(value, parsed)) {
-    throw std::invalid_argument("manifest: non-numeric value '" + value +
-                                "' for key '" + key + "'");
-  }
-  return parsed;
-}
-
-std::uint64_t parse_manifest_count(const std::string& key,
-                                   const std::string& value) {
-  std::uint64_t parsed = 0;
-  if (!util::parse_uint64(value, parsed)) {
-    throw std::invalid_argument("manifest: value for key '" + key +
-                                "' must be a non-negative integer, got '" +
-                                value + "'");
-  }
-  return parsed;
-}
-
-// Everything a manifest line can say, before the kind-specific request spec
-// is materialized (budget/seed apply once the kind is known, so key order in
-// the line is free).
-struct ManifestLine {
-  std::string name;
-  JobKind kind = JobKind::kReliability;
-  std::string circuit_spec;
-  std::string golden_spec;
-  double epsilon = 0.01;
-  double delta = 0.01;
-  double leakage = 0.5;
-  bool has_leakage = false;
-  std::optional<std::uint64_t> budget;
-  std::optional<std::uint64_t> seed;
-  std::string mode;  // fault-campaign pattern source: "random" | "exhaustive"
-  // Fault-campaign scale knobs (campaign.hpp): drop=0|1, lanes=64|128|256|512,
-  // sample=N classes (0 = full universe), prune=0|1 untestable pruning.
-  std::optional<std::uint64_t> drop;
-  std::optional<std::uint64_t> lanes;
-  std::optional<std::uint64_t> sample;
-  std::optional<std::uint64_t> prune;
-  // Harden-only keys (types.hpp): style=tmr|dwc|selective,
-  // granularity=gate|cone|output, top_k=N (all optional — absent means
-  // sweep the full axis).
-  std::optional<harden::Style> style;
-  std::optional<harden::Granularity> granularity;
-  std::optional<std::uint64_t> top_k;
-};
-
-std::vector<ManifestLine> parse_manifest_lines(std::istream& in) {
-  std::vector<ManifestLine> lines;
-  std::string text;
-  std::size_t line_number = 0;
-  while (std::getline(in, text)) {
-    ++line_number;
-    std::istringstream tokens(text);
-    std::string name;
-    if (!(tokens >> name) || name.front() == '#') continue;
-
-    const auto fail = [&](const std::string& message) -> std::invalid_argument {
-      return std::invalid_argument("manifest line " +
-                                   std::to_string(line_number) + ": " +
-                                   message);
-    };
-
-    ManifestLine line;
-    line.name = name;
-    std::optional<JobKind> kind;
-    std::string token;
-    while (tokens >> token) {
-      const std::size_t eq = token.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-        throw fail("expected key=value, got '" + token + "'");
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key == "kind") {
-        kind = parse_job_kind(value);
-        if (!kind.has_value()) throw fail("unknown kind '" + value + "'");
-      } else if (key == "circuit") {
-        line.circuit_spec = value;
-      } else if (key == "golden") {
-        line.golden_spec = value;
-      } else if (key == "eps") {
-        line.epsilon = parse_manifest_double(key, value);
-      } else if (key == "delta") {
-        line.delta = parse_manifest_double(key, value);
-      } else if (key == "budget") {
-        line.budget = parse_manifest_count(key, value);
-      } else if (key == "seed") {
-        line.seed = parse_manifest_count(key, value);
-      } else if (key == "leakage") {
-        line.leakage = parse_manifest_double(key, value);
-        line.has_leakage = true;
-      } else if (key == "mode") {
-        line.mode = value;
-      } else if (key == "drop") {
-        line.drop = parse_manifest_count(key, value);
-        if (*line.drop > 1) throw fail("drop must be 0 or 1");
-      } else if (key == "lanes") {
-        line.lanes = parse_manifest_count(key, value);
-        if (!fault::parse_lane_width(*line.lanes).has_value()) {
-          throw fail("lanes must be 64, 128, 256, or 512");
-        }
-      } else if (key == "sample") {
-        line.sample = parse_manifest_count(key, value);
-      } else if (key == "prune") {
-        line.prune = parse_manifest_count(key, value);
-        if (*line.prune > 1) throw fail("prune must be 0 or 1");
-      } else if (key == "style") {
-        line.style = harden::parse_style(value);
-        if (!line.style.has_value()) {
-          throw fail("style must be tmr, dwc, or selective");
-        }
-      } else if (key == "granularity") {
-        line.granularity = harden::parse_granularity(value);
-        if (!line.granularity.has_value()) {
-          throw fail("granularity must be gate, cone, or output");
-        }
-      } else if (key == "top_k") {
-        line.top_k = parse_manifest_count(key, value);
-      } else {
-        throw fail("unknown key '" + key + "'");
-      }
-    }
-    if (!kind.has_value()) throw fail("missing kind=");
-    if (line.circuit_spec.empty()) throw fail("missing circuit=");
-    line.kind = *kind;
-    lines.push_back(std::move(line));
-  }
-  return lines;
-}
-
-analysis::RequestOptions manifest_options(const ManifestLine& line) {
-  if ((!line.mode.empty() || line.drop.has_value() || line.lanes.has_value() ||
-       line.sample.has_value() || line.prune.has_value()) &&
-      line.kind != JobKind::kFaultCampaign && line.kind != JobKind::kHarden) {
-    throw std::invalid_argument(
-        "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only "
-        "apply to kind=fault-campaign and kind=harden");
-  }
-  if ((line.style.has_value() || line.granularity.has_value() ||
-       line.top_k.has_value()) &&
-      line.kind != JobKind::kHarden) {
-    throw std::invalid_argument(
-        "manifest: keys 'style', 'granularity', and 'top_k' only apply to "
-        "kind=harden");
-  }
-  switch (line.kind) {
-    case JobKind::kReliability: {
-      analysis::ReliabilityRequest spec;
-      spec.epsilon = line.epsilon;
-      if (line.budget.has_value()) spec.options.trials = *line.budget;
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kWorstCase: {
-      analysis::WorstCaseRequest spec;
-      spec.epsilon = line.epsilon;
-      if (line.budget.has_value()) spec.options.trials_per_input = *line.budget;
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kActivity: {
-      analysis::ActivityRequest spec;
-      if (line.budget.has_value()) {
-        spec.options.sample_pairs = static_cast<std::size_t>(*line.budget);
-      }
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kSensitivity: {
-      analysis::SensitivityRequest spec;
-      if (line.budget.has_value()) spec.options.sample_words = *line.budget;
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kEnergyBound: {
-      analysis::EnergyBoundRequest spec;
-      spec.epsilon = line.epsilon;
-      spec.delta = line.delta;
-      if (line.has_leakage) spec.energy.leakage_fraction = line.leakage;
-      if (line.budget.has_value()) {
-        spec.profile.activity_pairs = static_cast<std::size_t>(*line.budget);
-      }
-      if (line.seed.has_value()) spec.profile.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kProfile: {
-      analysis::ProfileRequest spec;
-      if (line.budget.has_value()) {
-        spec.options.activity_pairs = static_cast<std::size_t>(*line.budget);
-      }
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kFaultCampaign: {
-      analysis::FaultCampaignRequest spec;
-      if (line.budget.has_value()) spec.options.patterns = *line.budget;
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      if (!line.mode.empty()) {
-        if (line.mode == "exhaustive") {
-          spec.options.exhaustive = true;
-        } else if (line.mode != "random") {
-          throw std::invalid_argument(
-              "manifest: mode must be 'random' or 'exhaustive', got '" +
-              line.mode + "'");
-        }
-      }
-      if (line.drop.has_value()) spec.options.drop = (*line.drop != 0);
-      if (line.lanes.has_value()) {
-        spec.options.lanes = *fault::parse_lane_width(*line.lanes);
-      }
-      if (line.sample.has_value()) spec.options.sample = *line.sample;
-      if (line.prune.has_value()) {
-        spec.options.prune_untestable = (*line.prune != 0);
-      }
-      return spec;
-    }
-    case JobKind::kLint:
-      // Structural linting takes no tuning keys; eps/budget/seed are ignored
-      // the same way eps is for activity or sensitivity.
-      return analysis::LintRequest{};
-    case JobKind::kCec: {
-      // The comparison reference rides golden=, like every vs-reference kind.
-      analysis::CecRequest spec;
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      if (line.budget.has_value()) {
-        spec.options.signature_words = static_cast<int>(*line.budget);
-      }
-      return spec;
-    }
-    case JobKind::kHarden: {
-      // The campaign keys tune the grading campaign every candidate shares;
-      // style/granularity/top_k pin sweep axes (absent = full axis).
-      analysis::HardenRequest spec;
-      spec.options.epsilon = line.epsilon;
-      spec.options.delta = line.delta;
-      if (line.has_leakage) spec.options.leakage_fraction = line.leakage;
-      if (line.budget.has_value()) spec.options.campaign.patterns = *line.budget;
-      if (line.seed.has_value()) spec.options.campaign.seed = *line.seed;
-      if (!line.mode.empty()) {
-        if (line.mode == "exhaustive") {
-          spec.options.campaign.exhaustive = true;
-        } else if (line.mode != "random") {
-          throw std::invalid_argument(
-              "manifest: mode must be 'random' or 'exhaustive', got '" +
-              line.mode + "'");
-        }
-      }
-      if (line.drop.has_value()) spec.options.campaign.drop = (*line.drop != 0);
-      if (line.lanes.has_value()) {
-        spec.options.campaign.lanes = *fault::parse_lane_width(*line.lanes);
-      }
-      if (line.sample.has_value()) spec.options.campaign.sample = *line.sample;
-      if (line.prune.has_value()) {
-        spec.options.campaign.prune_untestable = (*line.prune != 0);
-      }
-      if (line.style.has_value()) spec.options.style = *line.style;
-      if (line.granularity.has_value()) {
-        spec.options.granularity = *line.granularity;
-      }
-      if (line.top_k.has_value()) {
-        spec.options.top_k = static_cast<std::uint32_t>(*line.top_k);
-      }
-      return spec;
-    }
-  }
-  throw std::invalid_argument("manifest: unknown job kind");
-}
-
-void json_escape(std::ostream& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<analysis::AnalysisRequest> parse_manifest_requests(
     std::istream& in,
     const std::function<CompiledCircuit(const std::string&)>& resolve) {
+  // Every line is parsed before any is applied, so a malformed line is
+  // reported ahead of a key misplaced on an earlier one.
+  std::vector<analysis::ManifestLine> lines;
+  std::string text;
+  for (std::size_t number = 1; std::getline(in, text); ++number) {
+    if (auto line = analysis::parse_manifest_line(text, number)) {
+      lines.push_back(std::move(*line));
+    }
+  }
   std::vector<analysis::AnalysisRequest> requests;
-  for (const ManifestLine& line : parse_manifest_lines(in)) {
+  for (const analysis::ManifestLine& line : lines) {
     analysis::AnalysisRequest request;
     request.name = line.name;
-    request.options = manifest_options(line);
-    request.circuit = resolve(line.circuit_spec);
-    if (!line.golden_spec.empty()) request.golden = resolve(line.golden_spec);
+    request.options = analysis::request_options(line);
+    request.circuit = resolve(line.circuit);
+    if (!line.settings.golden.empty()) {
+      request.golden = resolve(line.settings.golden);
+    }
     requests.push_back(std::move(request));
   }
   return requests;
@@ -1004,10 +630,10 @@ void write_batch_csv(std::ostream& out,
 
 void write_result_json(std::ostream& out, const analysis::AnalysisResult& r) {
   out << std::setprecision(17) << "{\"name\": \"";
-  json_escape(out, r.name);
+  util::json_escape(out, r.name);
   out << "\", \"kind\": \"" << to_string(r.kind) << "\", \"ok\": "
       << (r.ok ? "true" : "false") << ", \"error\": \"";
-  json_escape(out, r.error);
+  util::json_escape(out, r.error);
   out << "\", \"metrics\": {";
   for (std::size_t m = 0; m < r.metrics.size(); ++m) {
     out << (m == 0 ? "" : ", ") << "\"" << r.metrics[m].first << "\": ";

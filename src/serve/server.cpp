@@ -76,46 +76,13 @@ std::string hex16(std::uint64_t value) {
   return out.str();
 }
 
-void send_frame(ByteStream& stream, const Frame& frame) {
-  write_frame(stream, frame);
-}
-
-void send_ok(ByteStream& stream) { send_frame(stream, Frame{"ok", {}, {}}); }
+void send_ok(ByteStream& stream) { write_frame(stream, Frame{"ok", {}, {}}); }
 
 void send_error(ByteStream& stream, const std::string& message) {
   Frame frame;
   frame.verb = "error";
   frame.payload = message;
-  send_frame(stream, frame);
-}
-
-// The headline metric mirrored into result-frame arguments so a client can
-// print a summary table without parsing JSON (same metric the offline batch
-// table leads with).
-const char* headline_metric(analysis::AnalysisKind kind) {
-  switch (kind) {
-    case analysis::AnalysisKind::kReliability:
-      return "delta_hat";
-    case analysis::AnalysisKind::kWorstCase:
-      return "worst_delta_hat";
-    case analysis::AnalysisKind::kActivity:
-      return "avg_gate_toggle_rate";
-    case analysis::AnalysisKind::kSensitivity:
-      return "sensitivity";
-    case analysis::AnalysisKind::kEnergyBound:
-      return "total_factor";
-    case analysis::AnalysisKind::kProfile:
-      return "size_s0";
-    case analysis::AnalysisKind::kFaultCampaign:
-      return "coverage";
-    case analysis::AnalysisKind::kLint:
-      return "errors";
-    case analysis::AnalysisKind::kHarden:
-      return "frontier_size";
-    case analysis::AnalysisKind::kCec:
-      break;  // cec results have no headline row (equivalence is the story)
-  }
-  return "";
+  write_frame(stream, frame);
 }
 
 // Header values must be printable ASCII without spaces; job names come from
@@ -140,8 +107,10 @@ Frame result_frame(const analysis::AnalysisResult& result, bool cached) {
   frame.add("kind", analysis::to_string(result.kind));
   frame.add("ok", result.ok ? "1" : "0");
   frame.add("cached", cached ? "1" : "0");
+  // The headline metric rides the frame arguments so a client can print a
+  // summary table without parsing JSON (the offline batch table's metric).
   if (result.ok) {
-    const char* metric = headline_metric(result.kind);
+    const char* metric = analysis::descriptor(result.kind).headline;
     if (const auto value = result.metric(metric); value.has_value()) {
       frame.add("hmetric", metric);
       frame.add("hvalue", report::format_double(*value, 6));
@@ -437,7 +406,7 @@ void Server::cmd_load(const Frame& frame, ByteStream& stream) {
   reply.add("inputs", std::to_string(stats.num_inputs));
   reply.add("outputs", std::to_string(stats.num_outputs));
   reply.add("depth", std::to_string(stats.depth));
-  send_frame(stream, reply);
+  write_frame(stream, reply);
 }
 
 void Server::cmd_analyze(const Frame& frame, ByteStream& stream) {
@@ -453,15 +422,10 @@ void Server::cmd_analyze(const Frame& frame, ByteStream& stream) {
   line += " kind=" + kind + " circuit=" + handle;
   for (const auto& [key, value] : frame.args) {
     if (key == "handle" || key == "kind" || key == "name") continue;
-    if (key == "eps" || key == "delta" || key == "budget" || key == "seed" ||
-        key == "leakage" || key == "golden" || key == "mode" ||
-        key == "drop" || key == "lanes" || key == "sample" ||
-        key == "prune" || key == "style" || key == "granularity" ||
-        key == "top_k") {
-      line += " " + key + "=" + value;
-      continue;
+    if (!analysis::is_manifest_key(key)) {
+      throw std::invalid_argument("analyze: unknown argument '" + key + "='");
     }
-    throw std::invalid_argument("analyze: unknown argument '" + key + "='");
+    line += " " + key + "=" + value;
   }
   std::istringstream in(line);
   std::vector<analysis::AnalysisRequest> requests =
@@ -507,15 +471,8 @@ void Server::cmd_batch(const Frame& frame, ByteStream& stream) {
 namespace {
 void prefill_profile(const analysis::AnalysisRequest& request,
                      exec::Parallelism how) {
-  const core::ProfileOptions* options = nullptr;
-  if (const auto* bound =
-          std::get_if<analysis::EnergyBoundRequest>(&request.options)) {
-    if (bound->profile_override.has_value()) return;
-    options = &bound->profile;
-  } else if (const auto* profile =
-                 std::get_if<analysis::ProfileRequest>(&request.options)) {
-    options = &profile->options;
-  }
+  const core::ProfileOptions* options =
+      analysis::profile_options(request.options);
   if (options == nullptr || !request.circuit.valid()) return;
   try {
     (void)request.circuit.profile(*options, how);
@@ -544,7 +501,7 @@ void Server::run_requests(std::vector<analysis::AnalysisRequest> requests,
         const util::LockGuard lock(mutex_);
         ++results_;
       }
-      send_frame(stream, result_frame(*hit, /*cached=*/true));
+      write_frame(stream, result_frame(*hit, /*cached=*/true));
       continue;
     }
     misses.push_back(i);
@@ -577,7 +534,7 @@ void Server::run_requests(std::vector<analysis::AnalysisRequest> requests,
       const util::LockGuard lock(mutex_);
       ++results_;
     }
-    send_frame(stream, result_frame(result, /*cached=*/false));
+    write_frame(stream, result_frame(result, /*cached=*/false));
   });
 
   Frame done;
@@ -585,7 +542,7 @@ void Server::run_requests(std::vector<analysis::AnalysisRequest> requests,
   done.add("total", std::to_string(total));
   done.add("failed", std::to_string(failed));
   done.add("cached", std::to_string(cached_count));
-  send_frame(stream, done);
+  write_frame(stream, done);
 }
 
 void Server::cmd_stats(ByteStream& stream) {
@@ -615,7 +572,7 @@ void Server::cmd_stats(ByteStream& stream) {
   for (const auto& [verb, count] : server.verbs) {
     reply.add("requests_" + verb, std::to_string(count));
   }
-  send_frame(stream, reply);
+  write_frame(stream, reply);
 }
 
 void Server::cmd_metrics(ByteStream& stream) {
@@ -651,7 +608,7 @@ void Server::cmd_metrics(ByteStream& stream) {
   Frame reply;
   reply.verb = "ok";
   reply.payload = reg.render_prometheus();
-  send_frame(stream, reply);
+  write_frame(stream, reply);
 }
 
 void Server::cmd_evict(const Frame& frame, ByteStream& stream) {
@@ -664,7 +621,7 @@ void Server::cmd_evict(const Frame& frame, ByteStream& stream) {
   Frame reply;
   reply.verb = "ok";
   reply.add("evicted", std::to_string(evicted));
-  send_frame(stream, reply);
+  write_frame(stream, reply);
 }
 
 ServerStats Server::stats() const {

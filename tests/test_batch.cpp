@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,6 +28,7 @@
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
 #include "core/profile.hpp"
+#include "fault/lanes.hpp"
 #include "ft/nmr.hpp"
 #include "gen/adders.hpp"
 #include "gen/iscas.hpp"
@@ -34,6 +38,7 @@
 namespace enb::exec {
 namespace {
 
+using analysis::AnalysisKind;
 using analysis::AnalysisRequest;
 using analysis::AnalysisResult;
 using analysis::CompiledCircuit;
@@ -347,16 +352,23 @@ TEST(Batch, RunClearsTheQueue) {
 }
 
 TEST(Batch, JobKindRoundTrips) {
-  for (JobKind kind :
-       {JobKind::kReliability, JobKind::kWorstCase, JobKind::kActivity,
-        JobKind::kSensitivity, JobKind::kEnergyBound, JobKind::kProfile}) {
-    const auto parsed = parse_job_kind(to_string(kind));
+  for (std::size_t i = 0; i < std::variant_size_v<analysis::RequestOptions>;
+       ++i) {
+    const auto kind = static_cast<AnalysisKind>(i);
+    const auto parsed = analysis::parse_analysis_kind(to_string(kind));
     ASSERT_TRUE(parsed.has_value()) << to_string(kind);
     EXPECT_EQ(*parsed, kind);
   }
-  EXPECT_EQ(parse_job_kind("worst_case"), JobKind::kWorstCase);
-  EXPECT_EQ(parse_job_kind("energy_bound"), JobKind::kEnergyBound);
-  EXPECT_FALSE(parse_job_kind("bogus").has_value());
+  EXPECT_EQ(analysis::parse_analysis_kind("worst_case"),
+            AnalysisKind::kWorstCase);
+  EXPECT_EQ(analysis::parse_analysis_kind("energy_bound"),
+            AnalysisKind::kEnergyBound);
+  EXPECT_EQ(analysis::parse_analysis_kind("fault_campaign"),
+            AnalysisKind::kFaultCampaign);
+  EXPECT_FALSE(analysis::parse_analysis_kind("bogus").has_value());
+  EXPECT_FALSE(analysis::parse_analysis_kind("cecx").has_value());
+  EXPECT_FALSE(analysis::parse_analysis_kind("ce").has_value());
+  EXPECT_FALSE(analysis::parse_analysis_kind("").has_value());
 }
 
 // Memoized handle resolution, like the CLI and the server use.
@@ -381,13 +393,13 @@ TEST(Manifest, ParsesRequestsWithCommentsAndDefaults) {
   const auto requests = parse_manifest_requests(in, memoized_resolver(handles));
   ASSERT_EQ(requests.size(), 4u);
   EXPECT_EQ(requests[0].name, "r1");
-  EXPECT_EQ(requests[0].kind(), JobKind::kReliability);
+  EXPECT_EQ(requests[0].kind(), AnalysisKind::kReliability);
   const auto& rel =
       std::get<analysis::ReliabilityRequest>(requests[0].options);
   EXPECT_DOUBLE_EQ(rel.epsilon, 0.02);
   EXPECT_EQ(rel.options.trials, 4096u);
   EXPECT_EQ(rel.options.seed, 5u);
-  EXPECT_EQ(requests[1].kind(), JobKind::kWorstCase);
+  EXPECT_EQ(requests[1].kind(), AnalysisKind::kWorstCase);
   EXPECT_EQ(std::get<analysis::WorstCaseRequest>(requests[1].options)
                 .options.trials_per_input,
             512u);
@@ -395,7 +407,7 @@ TEST(Manifest, ParsesRequestsWithCommentsAndDefaults) {
       std::get<analysis::EnergyBoundRequest>(requests[2].options);
   EXPECT_DOUBLE_EQ(bound.delta, 0.1);
   EXPECT_DOUBLE_EQ(bound.energy.leakage_fraction, 0.25);
-  EXPECT_EQ(requests[3].kind(), JobKind::kProfile);  // key order is free
+  EXPECT_EQ(requests[3].kind(), AnalysisKind::kProfile);  // key order is free
   EXPECT_GT(requests[3].circuit.circuit().gate_count(), 0u);
 }
 
@@ -411,30 +423,311 @@ TEST(Manifest, SharedSpecsShareHandles) {
   EXPECT_FALSE(requests[0].circuit.same_handle(requests[2].circuit));
 }
 
+// ---- the manifest grammar, pinned ----------------------------------------
+//
+// One line per kind x each key the kind takes (empty = the kind's defaults),
+// and the canonical spec it yields. A changed row means a manifest line now
+// asks for a different analysis (and has a different cache key).
+struct SpecRow {
+  const char* kind;
+  const char* setting;
+  const char* spec;
+};
+constexpr SpecRow kSpecTable[] = {
+    {"reliability", "",
+     "reliability eps=0x1.47ae147ae147bp-7 trials=65536 seed=7 p1=0x1p-1 shard_passes=32"},
+    {"reliability", "eps=0.02",
+     "reliability eps=0x1.47ae147ae147bp-6 trials=65536 seed=7 p1=0x1p-1 shard_passes=32"},
+    {"reliability", "delta=0.2",
+     "reliability eps=0x1.47ae147ae147bp-7 trials=65536 seed=7 p1=0x1p-1 shard_passes=32"},
+    {"reliability", "leakage=0.25",
+     "reliability eps=0x1.47ae147ae147bp-7 trials=65536 seed=7 p1=0x1p-1 shard_passes=32"},
+    {"reliability", "budget=77",
+     "reliability eps=0x1.47ae147ae147bp-7 trials=77 seed=7 p1=0x1p-1 shard_passes=32"},
+    {"reliability", "seed=9",
+     "reliability eps=0x1.47ae147ae147bp-7 trials=65536 seed=9 p1=0x1p-1 shard_passes=32"},
+    {"reliability", "golden=c17",
+     "reliability eps=0x1.47ae147ae147bp-7 trials=65536 seed=7 p1=0x1p-1 shard_passes=32"},
+    {"worst-case", "",
+     "worst-case eps=0x1.47ae147ae147bp-7 num_inputs=64 trials_per_input=4096 seed=47825"},
+    {"worst-case", "eps=0.02",
+     "worst-case eps=0x1.47ae147ae147bp-6 num_inputs=64 trials_per_input=4096 seed=47825"},
+    {"worst-case", "delta=0.2",
+     "worst-case eps=0x1.47ae147ae147bp-7 num_inputs=64 trials_per_input=4096 seed=47825"},
+    {"worst-case", "leakage=0.25",
+     "worst-case eps=0x1.47ae147ae147bp-7 num_inputs=64 trials_per_input=4096 seed=47825"},
+    {"worst-case", "budget=77",
+     "worst-case eps=0x1.47ae147ae147bp-7 num_inputs=64 trials_per_input=77 seed=47825"},
+    {"worst-case", "seed=9",
+     "worst-case eps=0x1.47ae147ae147bp-7 num_inputs=64 trials_per_input=4096 seed=9"},
+    {"worst-case", "golden=c17",
+     "worst-case eps=0x1.47ae147ae147bp-7 num_inputs=64 trials_per_input=4096 seed=47825"},
+    {"activity", "",
+     "activity sample_pairs=16384 seed=1 p1=0x1p-1 shard_pairs=256"},
+    {"activity", "eps=0.02",
+     "activity sample_pairs=16384 seed=1 p1=0x1p-1 shard_pairs=256"},
+    {"activity", "delta=0.2",
+     "activity sample_pairs=16384 seed=1 p1=0x1p-1 shard_pairs=256"},
+    {"activity", "leakage=0.25",
+     "activity sample_pairs=16384 seed=1 p1=0x1p-1 shard_pairs=256"},
+    {"activity", "budget=77",
+     "activity sample_pairs=77 seed=1 p1=0x1p-1 shard_pairs=256"},
+    {"activity", "seed=9",
+     "activity sample_pairs=16384 seed=9 p1=0x1p-1 shard_pairs=256"},
+    {"activity", "golden=c17",
+     "activity sample_pairs=16384 seed=1 p1=0x1p-1 shard_pairs=256"},
+    {"sensitivity", "",
+     "sensitivity max_exact_inputs=22 sample_words=256 seed=3 shard_words=32"},
+    {"sensitivity", "eps=0.02",
+     "sensitivity max_exact_inputs=22 sample_words=256 seed=3 shard_words=32"},
+    {"sensitivity", "delta=0.2",
+     "sensitivity max_exact_inputs=22 sample_words=256 seed=3 shard_words=32"},
+    {"sensitivity", "leakage=0.25",
+     "sensitivity max_exact_inputs=22 sample_words=256 seed=3 shard_words=32"},
+    {"sensitivity", "budget=77",
+     "sensitivity max_exact_inputs=22 sample_words=77 seed=3 shard_words=32"},
+    {"sensitivity", "seed=9",
+     "sensitivity max_exact_inputs=22 sample_words=256 seed=9 shard_words=32"},
+    {"sensitivity", "golden=c17",
+     "sensitivity max_exact_inputs=22 sample_words=256 seed=3 shard_words=32"},
+    {"energy-bound", "",
+     "energy-bound eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 couple_leakage_to_delay=0 activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"energy-bound", "eps=0.02",
+     "energy-bound eps=0x1.47ae147ae147bp-6 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 couple_leakage_to_delay=0 activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"energy-bound", "delta=0.2",
+     "energy-bound eps=0x1.47ae147ae147bp-7 delta=0x1.999999999999ap-3 leakage_fraction=0x1p-1 couple_leakage_to_delay=0 activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"energy-bound", "leakage=0.25",
+     "energy-bound eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-2 couple_leakage_to_delay=0 activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"energy-bound", "budget=77",
+     "energy-bound eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 couple_leakage_to_delay=0 activity_pairs=77 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"energy-bound", "seed=9",
+     "energy-bound eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 couple_leakage_to_delay=0 activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=9"},
+    {"energy-bound", "golden=c17",
+     "energy-bound eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 couple_leakage_to_delay=0 activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"profile", "",
+     "profile activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"profile", "eps=0.02",
+     "profile activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"profile", "delta=0.2",
+     "profile activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"profile", "leakage=0.25",
+     "profile activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"profile", "budget=77",
+     "profile activity_pairs=77 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"profile", "seed=9",
+     "profile activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=9"},
+    {"profile", "golden=c17",
+     "profile activity_pairs=4096 prefer_exact_activity=1 exact_activity_max_inputs=16 sensitivity_exact_max_inputs=20 sensitivity_sample_words=256 profile_seed=17"},
+    {"fault-campaign", "",
+     "fault-campaign patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=0"},
+    {"fault-campaign", "eps=0.02",
+     "fault-campaign patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=0"},
+    {"fault-campaign", "delta=0.2",
+     "fault-campaign patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=0"},
+    {"fault-campaign", "leakage=0.25",
+     "fault-campaign patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=0"},
+    {"fault-campaign", "budget=77",
+     "fault-campaign patterns=77 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=0"},
+    {"fault-campaign", "seed=9",
+     "fault-campaign patterns=256 exhaustive=0 seed=9 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=0"},
+    {"fault-campaign", "golden=c17",
+     "fault-campaign patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=0"},
+    {"fault-campaign", "mode=exhaustive",
+     "fault-campaign patterns=256 exhaustive=1 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=0"},
+    {"fault-campaign", "drop=1",
+     "fault-campaign patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=1 sample=0 prune=0"},
+    {"fault-campaign", "sample=5",
+     "fault-campaign patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=5 prune=0"},
+    {"fault-campaign", "prune=1",
+     "fault-campaign patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1"},
+    {"lint", "",
+     "lint exhaustive_cap=20 allow_voter_replicas=0"},
+    {"lint", "eps=0.02",
+     "lint exhaustive_cap=20 allow_voter_replicas=0"},
+    {"lint", "delta=0.2",
+     "lint exhaustive_cap=20 allow_voter_replicas=0"},
+    {"lint", "leakage=0.25",
+     "lint exhaustive_cap=20 allow_voter_replicas=0"},
+    {"lint", "budget=77",
+     "lint exhaustive_cap=20 allow_voter_replicas=0"},
+    {"lint", "seed=9",
+     "lint exhaustive_cap=20 allow_voter_replicas=0"},
+    {"lint", "golden=c17",
+     "lint exhaustive_cap=20 allow_voter_replicas=0"},
+    {"cec", "",
+     "cec seed=52933 signature_words=8 bdd_node_limit=4194304"},
+    {"cec", "eps=0.02",
+     "cec seed=52933 signature_words=8 bdd_node_limit=4194304"},
+    {"cec", "delta=0.2",
+     "cec seed=52933 signature_words=8 bdd_node_limit=4194304"},
+    {"cec", "leakage=0.25",
+     "cec seed=52933 signature_words=8 bdd_node_limit=4194304"},
+    {"cec", "budget=77",
+     "cec seed=52933 signature_words=77 bdd_node_limit=4194304"},
+    {"cec", "seed=9",
+     "cec seed=9 signature_words=8 bdd_node_limit=4194304"},
+    {"cec", "golden=c17",
+     "cec seed=52933 signature_words=8 bdd_node_limit=4194304"},
+    {"harden", "",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "eps=0.02",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-6 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "delta=0.2",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.999999999999ap-3 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "leakage=0.25",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-2 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "budget=77",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=77 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "seed=9",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=9 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "golden=c17",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "mode=exhaustive",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=1 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "drop=1",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=1 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "sample=5",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=5 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "prune=1",
+     "harden style=3:all granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "style=dwc",
+     "harden style=3:dwc granularity=3:all top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "granularity=cone",
+     "harden style=3:all granularity=4:cone top_k=0 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+    {"harden", "top_k=3",
+     "harden style=3:all granularity=3:all top_k=3 voter=0 eps=0x1.47ae147ae147bp-7 delta=0x1.47ae147ae147bp-7 leakage_fraction=0x1p-1 patterns=256 exhaustive=0 seed=64023 shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 prune=1 cec_seed=52933 cec_signature_words=8 cec_bdd_node_limit=4194304"},
+};
+
+std::vector<AnalysisRequest> parse_text(const std::string& text) {
+  std::istringstream in(text);
+  std::map<std::string, CompiledCircuit> handles;
+  return parse_manifest_requests(in, memoized_resolver(handles));
+}
+
+TEST(ManifestGrammar, EveryKeyOfEveryKindGivesThePinnedCanonicalSpec) {
+  for (const SpecRow& row : kSpecTable) {
+    const std::string line = std::string("j kind=") + row.kind +
+                             " circuit=c17 " + row.setting + "\n";
+    const std::vector<AnalysisRequest> requests = parse_text(line);
+    ASSERT_EQ(requests.size(), 1u) << line;
+    EXPECT_EQ(analysis::canonical_spec(requests[0].options), row.spec)
+        << line;
+  }
+  // lanes= is execution policy and stays out of the spec.
+  const auto campaign = parse_text(
+      "f kind=fault-campaign circuit=c17 lanes=256\n"
+      "h kind=harden circuit=c17 lanes=512\n");
+  EXPECT_EQ(std::get<analysis::FaultCampaignRequest>(campaign[0].options)
+                .options.lanes,
+            fault::LaneWidth::k256);
+  EXPECT_EQ(std::get<analysis::HardenRequest>(campaign[1].options)
+                .options.campaign.lanes,
+            fault::LaneWidth::k512);
+}
+
+// Rejected lines and their error texts.
+struct RejectedLine {
+  const char* text;
+  const char* error;
+};
+constexpr RejectedLine kRejectedLines[] = {
+    {"j kind=reliability circuit=c17 mode=random",
+     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+    {"j kind=lint circuit=c17 drop=1",
+     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+    {"j kind=cec circuit=c17 lanes=64",
+     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+    {"j kind=profile circuit=c17 sample=3",
+     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+    {"j kind=activity circuit=c17 prune=0",
+     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+    {"j kind=fault-campaign circuit=c17 style=tmr",
+     "manifest: keys 'style', 'granularity', and 'top_k' only apply to kind=harden"},
+    {"j kind=reliability circuit=c17 granularity=gate",
+     "manifest: keys 'style', 'granularity', and 'top_k' only apply to kind=harden"},
+    {"j kind=energy-bound circuit=c17 top_k=2",
+     "manifest: keys 'style', 'granularity', and 'top_k' only apply to kind=harden"},
+    {"j kind=reliability circuit=c17 top_k=2 mode=random",
+     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+    {"j kind=fault-campaign circuit=c17 drop=2",
+     "manifest line 1: drop must be 0 or 1"},
+    {"j kind=fault-campaign circuit=c17 lanes=96",
+     "manifest line 1: lanes must be 64, 128, 256, or 512"},
+    {"j kind=fault-campaign circuit=c17 prune=2",
+     "manifest line 1: prune must be 0 or 1"},
+    {"j kind=fault-campaign circuit=c17 mode=x",
+     "manifest: mode must be 'random' or 'exhaustive', got 'x'"},
+    {"j kind=harden circuit=c17 mode=x",
+     "manifest: mode must be 'random' or 'exhaustive', got 'x'"},
+    {"j kind=harden circuit=c17 style=x",
+     "manifest line 1: style must be tmr, dwc, or selective"},
+    {"j kind=harden circuit=c17 granularity=x",
+     "manifest line 1: granularity must be gate, cone, or output"},
+    {"j kind=harden circuit=c17 top_k=x",
+     "manifest: value for key 'top_k' must be a non-negative integer, got 'x'"},
+    {"j kind=fault-campaign circuit=c17 sample=-1",
+     "manifest: value for key 'sample' must be a non-negative integer, got '-1'"},
+    {"j kind=reliability circuit=c17 drop=2",
+     "manifest line 1: drop must be 0 or 1"},
+    {"j kind=lint circuit=c17 mode=x",
+     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+    {"j kind=bogus circuit=c17",
+     "manifest line 1: unknown kind 'bogus'"},
+    {"j circuit=c17",
+     "manifest line 1: missing kind="},
+    {"j kind=reliability",
+     "manifest line 1: missing circuit="},
+    {"j kind=reliability circuit=c17 eps=abc",
+     "manifest: non-numeric value 'abc' for key 'eps'"},
+    {"j kind=reliability circuit=c17 leakage=x",
+     "manifest: non-numeric value 'x' for key 'leakage'"},
+    {"j kind=reliability circuit=c17 budget=12x",
+     "manifest: value for key 'budget' must be a non-negative integer, got '12x'"},
+    // std::stoull would wrap "-1" to 2^64-1, whose rounded-up pass count
+    // overflows to zero — a silent empty job reporting ok.
+    {"j kind=reliability circuit=c17 budget=-1",
+     "manifest: value for key 'budget' must be a non-negative integer, got '-1'"},
+    {"j kind=reliability circuit=c17 seed=-7",
+     "manifest: value for key 'seed' must be a non-negative integer, got '-7'"},
+    {"j kind=reliability circuit=c17 frobnicate=1",
+     "manifest line 1: unknown key 'frobnicate'"},
+    {"j kind=reliability circuit=c17 noequals",
+     "manifest line 1: expected key=value, got 'noequals'"},
+    {"j kind=reliability circuit=c17 eps=",
+     "manifest line 1: expected key=value, got 'eps='"},
+    {"a kind=lint circuit=c17 drop=1\nb kind=fault-campaign circuit=c17 drop=5",
+     "manifest line 2: drop must be 0 or 1"},
+};
+
 TEST(Manifest, RejectsMalformedLines) {
-  const auto parse = [](const std::string& text) {
-    std::istringstream in(text);
-    std::map<std::string, CompiledCircuit> handles;
-    return parse_manifest_requests(in, memoized_resolver(handles));
-  };
-  EXPECT_THROW((void)parse("j1 kind=bogus circuit=c17"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse("j1 circuit=c17"), std::invalid_argument);
-  EXPECT_THROW((void)parse("j1 kind=reliability"), std::invalid_argument);
-  EXPECT_THROW((void)parse("j1 kind=reliability circuit=c17 eps=abc"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse("j1 kind=reliability circuit=c17 budget=12x"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse("j1 kind=reliability circuit=c17 frobnicate=1"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse("j1 kind=reliability circuit=c17 noequals"),
-               std::invalid_argument);
-  // std::stoull would wrap "-1" to 2^64-1, whose rounded-up pass count
-  // overflows to zero — a silent empty job reporting ok. Reject instead.
-  EXPECT_THROW((void)parse("j1 kind=reliability circuit=c17 budget=-1"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse("j1 kind=reliability circuit=c17 seed=-7"),
-               std::invalid_argument);
+  for (const RejectedLine& rejected : kRejectedLines) {
+    try {
+      (void)parse_text(std::string(rejected.text) + "\n");
+      ADD_FAILURE() << "accepted: " << rejected.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), rejected.error) << rejected.text;
+    }
+  }
+}
+
+TEST(KindDescriptor, HeadlineIsARowOfEveryKindsSmokeManifestJob) {
+  const std::filesystem::path manifest =
+      std::filesystem::path(__FILE__).parent_path().parent_path() /
+      "examples" / "batch_smoke.manifest";
+  std::ifstream in(manifest);
+  ASSERT_TRUE(in.is_open()) << manifest;
+  std::map<std::string, CompiledCircuit> handles;
+  const auto results = evaluate_requests(
+      parse_manifest_requests(in, memoized_resolver(handles)));
+  std::set<AnalysisKind> kinds;
+  for (const AnalysisResult& result : results) {
+    ASSERT_TRUE(result.ok) << result.name << ": " << result.error;
+    const char* headline = analysis::descriptor(result.kind).headline;
+    EXPECT_TRUE(result.metric(headline).has_value())
+        << result.name << " has no '" << headline << "' row";
+    kinds.insert(result.kind);
+  }
+  EXPECT_EQ(kinds.size(), std::variant_size_v<analysis::RequestOptions>);
 }
 
 TEST(Batch, ZeroSampledSensitivityBudgetFailsTheRequest) {
@@ -455,9 +748,9 @@ TEST(Batch, ZeroSampledSensitivityBudgetFailsTheRequest) {
 TEST(BatchOutput, JsonEmitsNullForNonFiniteMetrics) {
   // delay_factor is legitimately +inf past the Theorem 4 feasibility limit;
   // "inf"/"nan" are not JSON literals and must render as null.
-  BatchResult r;
+  AnalysisResult r;
   r.name = "edge";
-  r.kind = JobKind::kEnergyBound;
+  r.kind = AnalysisKind::kEnergyBound;
   r.ok = true;
   r.metrics = {{"total_factor", 2.5},
                {"delay_factor", std::numeric_limits<double>::infinity()},
@@ -474,9 +767,9 @@ TEST(BatchOutput, JsonEmitsNullForNonFiniteMetrics) {
 TEST(BatchOutput, ResultJsonObjectMatchesBatchArrayLine) {
   // The per-result writer is the server's framing unit; the array writer
   // must be exactly "[\n  <object>(,\n  <object>)*\n]\n" around it.
-  BatchResult r;
+  AnalysisResult r;
   r.name = "one";
-  r.kind = JobKind::kActivity;
+  r.kind = AnalysisKind::kActivity;
   r.ok = true;
   r.metrics = {{"avg_gate_toggle_rate", 0.25}};
   std::ostringstream object;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "gen/suite.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/circuit.hpp"
+#include "json_scanner.hpp"
 
 namespace enb::analysis {
 namespace {
@@ -426,6 +428,27 @@ TEST(Lint, FailedLintRequestReportsNotThrows) {
   const AnalysisResult result = evaluate(request);
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.error.empty());
+}
+
+TEST(LintJson, ControlBytesRoundTripThroughValidJson) {
+  // A control byte inside a gate line lands in a diagnostic; its JSON
+  // escape must be a full four-digit \u0001 for the report to parse.
+  const std::string text = "INPUT(a)\nOUTPUT(y)\ny = NOT(a\x01)\n";
+  const LintReport report = lint_bench_text(text, "ctl\x02.bench");
+  ASSERT_FALSE(report.diagnostics.empty());
+  std::ostringstream out;
+  write_lint_json(out, "ctl\x02.bench", report);
+  JsonScanner scanner(out.str());
+  ASSERT_TRUE(scanner.valid()) << out.str();
+  EXPECT_NE(out.str().find("\\u0001"), std::string::npos) << out.str();
+  const std::vector<std::string>& strings = scanner.strings();
+  EXPECT_NE(std::find(strings.begin(), strings.end(), "ctl\x02.bench"),
+            strings.end());
+  EXPECT_TRUE(std::any_of(strings.begin(), strings.end(),
+                          [](const std::string& s) {
+                            return s.find("a\x01") != std::string::npos;
+                          }))
+      << out.str();
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -27,144 +26,10 @@
 #include "analysis/request.hpp"
 #include "exec/batch.hpp"
 #include "gen/suite.hpp"
+#include "json_scanner.hpp"
 
 namespace enb::obs {
 namespace {
-
-// ---- minimal JSON validity scanner ----------------------------------------
-// Enough of RFC 8259 to prove the trace export parses: values, objects,
-// arrays, strings with escapes, numbers. CI additionally runs the emitted
-// file through `python3 -m json.tool`; this keeps the property pinned in
-// unit tests too.
-class JsonScanner {
- public:
-  explicit JsonScanner(std::string text) : text_(std::move(text)) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return object();
-      case '[':
-        return array();
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') return ++pos_, true;
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') return ++pos_, true;
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') return ++pos_, true;
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') return ++pos_, true;
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') return ++pos_, true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(
-                                            text_[pos_]))) {
-              return false;
-            }
-          }
-        } else if (std::string("\"\\/bfnrt").find(esc) == std::string::npos) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(const char* word) {
-    for (const char* c = word; *c != '\0'; ++c, ++pos_) {
-      if (pos_ >= text_.size() || text_[pos_] != *c) return false;
-    }
-    return true;
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string text_;  // owned: callers may pass a temporary
-  std::size_t pos_ = 0;
-};
 
 // ---- Counter --------------------------------------------------------------
 

@@ -25,6 +25,7 @@
 #include "analysis/request.hpp"
 #include "exec/batch.hpp"
 #include "gen/suite.hpp"
+#include "report/table.hpp"
 #include "serve/client.hpp"
 
 namespace enb::serve {
@@ -333,6 +334,52 @@ TEST_F(ServeServerTest, AnalyzeVerbMatchesABatchOfOne) {
   const std::string one_line =
       "bound kind=energy-bound circuit=mult4 eps=0.02 budget=256\n";
   EXPECT_EQ(served_json(analyzed), offline_json(one_line));
+}
+
+TEST_F(ServeServerTest, AnalyzeAcceptsExactlyTheManifestKeys) {
+  // Every manifest key except kind= and circuit= (the handle names the
+  // circuit), each set, on harden — the one kind that takes them all.
+  const std::vector<std::string> keys = {
+      "golden=c17", "eps=0.02",  "delta=0.2",  "leakage=0.25",
+      "budget=64",  "seed=9",    "mode=random", "drop=1",
+      "lanes=128",  "sample=2",  "prune=1",    "style=tmr",
+      "granularity=gate", "top_k=1"};
+  start();
+  Client client(path());
+  (void)client.load("c17");
+  std::vector<std::string> tokens = keys;
+  tokens.push_back("name=all");
+  const QueryOutcome analyzed = client.analyze("c17", "harden", tokens);
+  ASSERT_EQ(analyzed.results.size(), 1u);
+  EXPECT_TRUE(analyzed.results[0].ok);
+  std::string line = "all kind=harden circuit=c17";
+  for (const std::string& key : keys) line += " " + key;
+  EXPECT_EQ(served_json(analyzed), offline_json(line + "\n"));
+
+  for (const char* rejected : {"circuit=c17", "frobnicate=1", "handles=2"}) {
+    try {
+      (void)client.analyze("c17", "harden", {rejected});
+      ADD_FAILURE() << "accepted " << rejected;
+    } catch (const ServerError& e) {
+      EXPECT_NE(std::string(e.what()).find("analyze: unknown argument"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(client.ping().verb, "ok");
+}
+
+TEST_F(ServeServerTest, CecFrameCarriesTheOfflineHeadline) {
+  // The served summary row leads with the metric the offline batch table
+  // does — for cec, whether the circuits are equivalent.
+  start();
+  Client client(path());
+  const QueryOutcome outcome =
+      client.batch("same kind=cec circuit=c17 golden=c17\n");
+  ASSERT_EQ(outcome.results.size(), 1u);
+  ASSERT_TRUE(outcome.results[0].ok);
+  EXPECT_EQ(outcome.results[0].headline,
+            "equivalent = " + report::format_double(1.0, 6));
 }
 
 TEST_F(ServeServerTest, LoadReportsContentFingerprintIndependentOfName) {

@@ -167,6 +167,13 @@ bool circuit_file_missing(const std::string& spec) {
   return gen::spec_is_path(spec) && !std::filesystem::exists(spec, ec);
 }
 
+// circuit_file_missing, reported on stderr as a missing `what` file.
+bool report_missing(const std::string& spec, const char* what = "circuit") {
+  if (!circuit_file_missing(spec)) return false;
+  std::cerr << "error: " << what << " file not found: " << spec << "\n";
+  return true;
+}
+
 // Thrown by the batch resolver so a manifest naming a nonexistent .bench
 // routes to kExitMissingInput like a missing positional path does (the
 // documented missing-vs-malformed contract covers both).
@@ -209,11 +216,7 @@ void write_json_file(const std::string& path,
 }
 
 int cmd_profile(const Args& args) {
-  if (circuit_file_missing(args.positional[1])) {
-    std::cerr << "error: circuit file not found: " << args.positional[1]
-              << "\n";
-    return kExitMissingInput;
-  }
+  if (report_missing(args.positional[1])) return kExitMissingInput;
   const analysis::CompiledCircuit compiled =
       load_compiled(args, args.positional[1]);
   print_profile(compiled.profile());
@@ -221,11 +224,7 @@ int cmd_profile(const Args& args) {
 }
 
 int cmd_analyze(const Args& args) {
-  if (circuit_file_missing(args.positional[1])) {
-    std::cerr << "error: circuit file not found: " << args.positional[1]
-              << "\n";
-    return kExitMissingInput;
-  }
+  if (report_missing(args.positional[1])) return kExitMissingInput;
   const analysis::CompiledCircuit compiled =
       load_compiled(args, args.positional[1]);
   // profile() caches on the handle: the analyze() call below reuses this
@@ -269,11 +268,7 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  if (circuit_file_missing(args.positional[1])) {
-    std::cerr << "error: circuit file not found: " << args.positional[1]
-              << "\n";
-    return kExitMissingInput;
-  }
+  if (report_missing(args.positional[1])) return kExitMissingInput;
   const analysis::CompiledCircuit compiled =
       load_compiled(args, args.positional[1]);
   const std::vector<double> grid =
@@ -322,35 +317,9 @@ int cmd_sweep(const Args& args) {
 
 // The headline metric shown in the per-job summary table; the full metric
 // set goes to --csv/--json.
-const char* headline_metric(analysis::AnalysisKind kind) {
-  switch (kind) {
-    case analysis::AnalysisKind::kReliability:
-      return "delta_hat";
-    case analysis::AnalysisKind::kWorstCase:
-      return "worst_delta_hat";
-    case analysis::AnalysisKind::kActivity:
-      return "avg_gate_toggle_rate";
-    case analysis::AnalysisKind::kSensitivity:
-      return "sensitivity";
-    case analysis::AnalysisKind::kEnergyBound:
-      return "total_factor";
-    case analysis::AnalysisKind::kProfile:
-      return "size_s0";
-    case analysis::AnalysisKind::kFaultCampaign:
-      return "coverage";
-    case analysis::AnalysisKind::kLint:
-      return "errors";
-    case analysis::AnalysisKind::kCec:
-      return "equivalent";
-    case analysis::AnalysisKind::kHarden:
-      return "frontier_size";
-  }
-  return "";
-}
-
 std::string headline_of(const analysis::AnalysisResult& r) {
   if (!r.ok) return "-";
-  const char* metric = headline_metric(r.kind);
+  const char* metric = analysis::descriptor(r.kind).headline;
   if (const auto value = r.metric(metric); value.has_value()) {
     return std::string(metric) + " = " + report::format_double(*value, 6);
   }
@@ -430,53 +399,6 @@ int cmd_batch(const Args& args) {
 
 // ---- netlist lint --------------------------------------------------------
 
-void json_escape(std::ostream& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u00" << std::hex << static_cast<int>(c) << std::dec;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-// Lint results carry typed diagnostics, not (metric, value) rows, so the
-// lint subcommand has its own JSON shape instead of write_result_json's.
-void write_lint_json(std::ostream& out, const std::string& name,
-                     const analysis::LintReport& report) {
-  out << "{\"name\": \"";
-  json_escape(out, name);
-  out << "\", \"nodes\": " << report.nodes
-      << ", \"errors\": " << report.errors()
-      << ", \"warnings\": " << report.warnings() << ", \"diagnostics\": [";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const analysis::LintDiagnostic& d = report.diagnostics[i];
-    out << (i == 0 ? "" : ", ") << "{\"severity\": \""
-        << analysis::to_string(d.severity) << "\", \"rule\": \""
-        << analysis::to_string(d.rule) << "\", \"site\": \"";
-    json_escape(out, d.site);
-    out << "\", \"message\": \"";
-    json_escape(out, d.message);
-    out << "\"}";
-  }
-  out << "]}\n";
-}
-
 int cmd_lint(const Args& args) {
   const std::string& spec = args.positional[1];
   analysis::LintOptions options;
@@ -497,7 +419,7 @@ int cmd_lint(const Args& args) {
   analysis::write_lint_text(std::cout, report);
   if (!args.json.empty()) {
     std::ofstream out(args.json);
-    write_lint_json(out, spec, report);
+    analysis::write_lint_json(out, spec, report);
     std::cout << "wrote " << args.json << "\n";
   }
   return report.clean() ? 0 : kExitProcessing;
@@ -507,13 +429,8 @@ int cmd_lint(const Args& args) {
 
 int cmd_faultsim(const Args& args) {
   const std::string& spec = args.positional[1];
-  if (circuit_file_missing(spec)) {
-    std::cerr << "error: circuit file not found: " << spec << "\n";
-    return kExitMissingInput;
-  }
-  if (!args.golden.empty() && circuit_file_missing(args.golden)) {
-    std::cerr << "error: golden circuit file not found: " << args.golden
-              << "\n";
+  if (report_missing(spec)) return kExitMissingInput;
+  if (!args.golden.empty() && report_missing(args.golden, "golden circuit")) {
     return kExitMissingInput;
   }
   const analysis::CompiledCircuit compiled = load_compiled(args, spec);
@@ -670,10 +587,7 @@ std::string emit_filename(const std::string& label) {
 
 int cmd_harden(const Args& args) {
   const std::string& spec = args.positional[1];
-  if (circuit_file_missing(spec)) {
-    std::cerr << "error: circuit file not found: " << spec << "\n";
-    return kExitMissingInput;
-  }
+  if (report_missing(spec)) return kExitMissingInput;
 
   harden::SweepOptions options;
   if (!args.style.empty()) {
@@ -781,11 +695,7 @@ int cmd_cec(const Args& args) {
     return 1;
   }
   for (std::size_t p = 1; p <= 2; ++p) {
-    if (circuit_file_missing(args.positional[p])) {
-      std::cerr << "error: circuit file not found: " << args.positional[p]
-                << "\n";
-      return kExitMissingInput;
-    }
+    if (report_missing(args.positional[p])) return kExitMissingInput;
   }
   const analysis::CompiledCircuit a = load_compiled(args, args.positional[1]);
   const analysis::CompiledCircuit b = load_compiled(args, args.positional[2]);
