@@ -68,7 +68,7 @@ class CompiledCircuit {
   [[nodiscard]] std::optional<core::CircuitProfile> cached_profile(
       const core::ProfileOptions& options) const;
 
-  // Cache-fill path for exec::BatchEvaluator's extraction groups, which run
+  // Cache-fill path for exec::BatchEvaluator's shared extractions, which run
   // a core::ProfileExtraction's tasks on the batch's own schedule. `profile`
   // must be what core::extract_profile returns for `options`; ordinary
   // callers should use profile() instead. Counts as one extraction. A

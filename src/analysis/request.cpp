@@ -345,8 +345,8 @@ void write_spec(SpecWriter& w, const HardenRequest& r) {
 double parse_double_value(std::string_view key, const std::string& value) {
   double parsed = 0.0;
   if (!util::parse_double(value, parsed)) {
-    throw std::invalid_argument("manifest: non-numeric value '" + value +
-                                "' for key '" + std::string(key) + "'");
+    throw std::invalid_argument("non-numeric value '" + value + "' for key '" +
+                                std::string(key) + "'");
   }
   return parsed;
 }
@@ -355,19 +355,18 @@ std::uint64_t parse_count_value(std::string_view key,
                                 const std::string& value) {
   std::uint64_t parsed = 0;
   if (!util::parse_uint64(value, parsed)) {
-    throw std::invalid_argument("manifest: value for key '" +
-                                std::string(key) +
+    throw std::invalid_argument("value for key '" + std::string(key) +
                                 "' must be a non-negative integer, got '" +
                                 value + "'");
   }
   return parsed;
 }
 
-// A key reader stores its value in the settings and returns the range error
-// for a value out of range ("" when the value is taken); non-numeric values
-// throw.
-using KeyReader = std::string (*)(ManifestSettings&, std::string_view key,
-                                  const std::string& value);
+// A key reader stores its value in the settings; it throws
+// std::invalid_argument for a value it cannot take (parse_manifest_line
+// prefixes the line number).
+using KeyReader = void (*)(ManifestSettings&, std::string_view key,
+                           const std::string& value);
 
 struct ManifestKey {
   std::string_view name;
@@ -375,53 +374,55 @@ struct ManifestKey {
 };
 
 template <auto Field>
-std::string read_text(ManifestSettings& s, std::string_view,
-                      const std::string& value) {
+void read_text(ManifestSettings& s, std::string_view,
+               const std::string& value) {
   s.*Field = value;
-  return {};
 }
 
 template <auto Field>
-std::string read_double(ManifestSettings& s, std::string_view key,
-                        const std::string& value) {
+void read_double(ManifestSettings& s, std::string_view key,
+                 const std::string& value) {
   s.*Field = parse_double_value(key, value);
-  return {};
 }
 
 template <auto Field>
-std::string read_count(ManifestSettings& s, std::string_view key,
-                       const std::string& value) {
+void read_count(ManifestSettings& s, std::string_view key,
+                const std::string& value) {
   s.*Field = parse_count_value(key, value);
-  return {};
 }
 
 template <auto Field>
-std::string read_flag(ManifestSettings& s, std::string_view key,
-                      const std::string& value) {
+void read_flag(ManifestSettings& s, std::string_view key,
+               const std::string& value) {
   const std::uint64_t flag = parse_count_value(key, value);
-  if (flag > 1) return std::string(key) + " must be 0 or 1";
+  if (flag > 1) {
+    throw std::invalid_argument(std::string(key) + " must be 0 or 1");
+  }
   s.*Field = flag != 0;
-  return {};
 }
 
-std::string read_lanes(ManifestSettings& s, std::string_view key,
-                       const std::string& value) {
+void read_lanes(ManifestSettings& s, std::string_view key,
+                const std::string& value) {
   s.lanes = fault::parse_lane_width(parse_count_value(key, value));
-  return s.lanes.has_value() ? "" : "lanes must be 64, 128, 256, or 512";
+  if (!s.lanes) {
+    throw std::invalid_argument("lanes must be 64, 128, 256, or 512");
+  }
 }
 
-std::string read_style(ManifestSettings& s, std::string_view,
-                       const std::string& value) {
+void read_style(ManifestSettings& s, std::string_view,
+                const std::string& value) {
   s.style = harden::parse_style(value);
-  return s.style.has_value() ? "" : "style must be tmr, dwc, or selective";
+  if (!s.style) {
+    throw std::invalid_argument("style must be tmr, dwc, or selective");
+  }
 }
 
-std::string read_granularity(ManifestSettings& s, std::string_view,
-                             const std::string& value) {
+void read_granularity(ManifestSettings& s, std::string_view,
+                      const std::string& value) {
   s.granularity = harden::parse_granularity(value);
-  return s.granularity.has_value()
-             ? ""
-             : "granularity must be gate, cone, or output";
+  if (!s.granularity) {
+    throw std::invalid_argument("granularity must be gate, cone, or output");
+  }
 }
 
 // The first kCommonKeys entries apply to every kind; the rest only to the
@@ -468,8 +469,7 @@ void apply_campaign_keys(const ManifestSettings& s,
     campaign.exhaustive = true;
   } else if (!s.mode.empty() && s.mode != "random") {
     throw std::invalid_argument(
-        "manifest: mode must be 'random' or 'exhaustive', got '" + s.mode +
-        "'");
+        "mode must be 'random' or 'exhaustive', got '" + s.mode + "'");
   }
   set_if(campaign.drop, s.drop);
   set_if(campaign.lanes, s.lanes);
@@ -628,7 +628,7 @@ std::invalid_argument misplaced_key(std::string_view key) {
   for (const KindDescriptor& kind : kKinds) {
     if (lists_key(kind, key)) names.push_back("kind=" + std::string(kind.name));
   }
-  return std::invalid_argument("manifest: keys " + english_list(keys) +
+  return std::invalid_argument("keys " + english_list(keys) +
                                " only apply to " + english_list(names));
 }
 
@@ -683,6 +683,7 @@ std::optional<ManifestLine> parse_manifest_line(const std::string& text,
   std::istringstream tokens(text);
   ManifestLine line;
   if (!(tokens >> line.name) || line.name.front() == '#') return std::nullopt;
+  line.number = line_number;
 
   const auto fail = [&](const std::string& message) {
     return std::invalid_argument("manifest line " +
@@ -703,9 +704,10 @@ std::optional<ManifestLine> parse_manifest_line(const std::string& text,
     } else if (key == "circuit") {
       line.circuit = value;
     } else if (const ManifestKey* entry = find_key(key)) {
-      if (const std::string error = entry->read(line.settings, key, value);
-          !error.empty()) {
-        throw fail(error);
+      try {
+        entry->read(line.settings, key, value);
+      } catch (const std::invalid_argument& e) {
+        throw fail(e.what());
       }
       line.settings.present |= 1u << (entry - kManifestKeys);
     } else {
@@ -720,13 +722,18 @@ std::optional<ManifestLine> parse_manifest_line(const std::string& text,
 
 RequestOptions request_options(const ManifestLine& line) {
   const KindDescriptor& kind = descriptor(line.kind);
-  for (std::size_t i = kCommonKeys; i < std::size(kManifestKeys); ++i) {
-    if ((line.settings.present >> i & 1u) != 0 &&
-        !lists_key(kind, kManifestKeys[i].name)) {
-      throw misplaced_key(kManifestKeys[i].name);
+  try {
+    for (std::size_t i = kCommonKeys; i < std::size(kManifestKeys); ++i) {
+      if ((line.settings.present >> i & 1u) != 0 &&
+          !lists_key(kind, kManifestKeys[i].name)) {
+        throw misplaced_key(kManifestKeys[i].name);
+      }
     }
+    return kind.apply(line.settings);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(
+        "manifest line " + std::to_string(line.number) + ": " + e.what());
   }
-  return kind.apply(line.settings);
 }
 
 std::optional<double> AnalysisResult::metric(std::string_view name) const {

@@ -166,6 +166,7 @@ struct ManifestSettings {
 };
 
 struct ManifestLine {
+  std::size_t number = 0;  // 1-based line number in the manifest
   std::string name;
   AnalysisKind kind = AnalysisKind::kReliability;
   std::string circuit;  // circuit spec: suite name or .bench path
@@ -191,14 +192,15 @@ struct KindDescriptor {
 [[nodiscard]] bool is_manifest_key(std::string_view key) noexcept;
 
 // Parses one manifest line; nullopt for a blank or '#' comment line. Throws
-// std::invalid_argument ("manifest line <n>: ..." for malformed tokens,
-// unknown kinds and keys, missing kind=/circuit= and out-of-range values;
-// "manifest: ..." for non-numeric values).
+// std::invalid_argument "manifest line <n>: ..." for malformed tokens,
+// unknown kinds and keys, missing kind=/circuit=, and non-numeric or
+// out-of-range values.
 [[nodiscard]] std::optional<ManifestLine> parse_manifest_line(
     const std::string& text, std::size_t line_number);
 
 // The line's request options: rejects keys its kind does not list, then
-// applies the kind's descriptor. Throws std::invalid_argument.
+// applies the kind's descriptor. Throws std::invalid_argument
+// "manifest line <n>: ..." naming the line.
 [[nodiscard]] RequestOptions request_options(const ManifestLine& line);
 
 struct AnalysisRequest {

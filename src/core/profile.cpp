@@ -25,40 +25,41 @@ sim::SensitivityOptions sensitivity_options_of(const ProfileOptions& options) {
   return o;
 }
 
+// The circuit, once checked to have gates to profile.
+const netlist::Circuit& profiled(const netlist::Circuit& circuit) {
+  if (circuit.gate_count() == 0) {
+    throw std::invalid_argument(
+        "extract_profile: circuit has no gates to profile");
+  }
+  return circuit;
+}
+
+std::optional<sim::ActivityTasks> monte_carlo_activity(
+    const netlist::Circuit& circuit, const ProfileOptions& options) {
+  if (options.prefer_exact_activity &&
+      static_cast<int>(circuit.num_inputs()) <=
+          options.exact_activity_max_inputs) {
+    return std::nullopt;
+  }
+  return std::optional<sim::ActivityTasks>(
+      std::in_place, circuit, activity_options_of(options));
+}
+
 }  // namespace
 
 ProfileExtraction::ProfileExtraction(const netlist::Circuit& circuit,
                                      const ProfileOptions& options)
-    : circuit_(circuit),
-      flat_(circuit),
+    : circuit_(profiled(circuit)),
       activity_options_(activity_options_of(options)),
-      sensitivity_options_(sensitivity_options_of(options)),
-      exact_activity_(options.prefer_exact_activity &&
-                      static_cast<int>(circuit.num_inputs()) <=
-                          options.exact_activity_max_inputs),
-      activity_counts_(exact_activity_ ? 0 : circuit.node_count()),
-      sensitivity_counts_(circuit.num_inputs()) {
-  if (circuit_.gate_count() == 0) {
-    throw std::invalid_argument(
-        "extract_profile: circuit has no gates to profile");
-  }
-  if (!exact_activity_) {
-    sim::validate_activity_inputs(activity_options_);
-    activity_plan_ = sim::activity_shard_plan(activity_options_);
-  }
-  sim::validate_sensitivity_inputs(circuit_, sensitivity_options_);
-  sensitivity_plan_ =
-      sim::sensitivity_shard_plan(circuit_, sensitivity_options_);
-}
+      activity_(monte_carlo_activity(circuit, options)),
+      sensitivity_(circuit, sensitivity_options_of(options)) {}
 
 void ProfileExtraction::run_task(std::size_t task) {
   if (task >= activity_tasks()) {
-    const sim::SensitivityCounts local = sim::sensitivity_shard_counts(
-        flat_, sensitivity_options_,
-        sensitivity_plan_.shard(task - activity_tasks()));
-    const util::LockGuard lock(mutex_);
-    sensitivity_counts_.merge(local);
-  } else if (exact_activity_) {
+    sensitivity_.run_task(task - activity_tasks());
+  } else if (activity_.has_value()) {
+    activity_->run_task(task);
+  } else {
     // The BDD route can still blow up on worst-case structures; fall back
     // silently to the Monte-Carlo estimate, serially inside this one task.
     double sw0 = 0.0;
@@ -71,11 +72,6 @@ void ProfileExtraction::run_task(std::size_t task) {
     }
     const util::LockGuard lock(mutex_);
     exact_sw0_ = sw0;
-  } else {
-    const sim::ActivityCounts local = sim::activity_shard_counts(
-        flat_, activity_options_, activity_plan_.shard(task));
-    const util::LockGuard lock(mutex_);
-    activity_counts_.merge(local);
   }
 }
 
@@ -89,15 +85,13 @@ CircuitProfile ProfileExtraction::finish() {
   p.depth_d0 = stats.depth;
   p.avg_fanin_k = stats.avg_fanin;
   p.max_fanin = stats.max_fanin;
-
-  const util::LockGuard lock(mutex_);
-  p.avg_activity_sw0 =
-      exact_activity_ ? exact_sw0_.value()
-                      : sim::finalize_activity(circuit_, activity_options_,
-                                               activity_counts_)
-                            .avg_gate_toggle_rate;
-  const sim::SensitivityResult sens = sim::finalize_sensitivity(
-      circuit_, sensitivity_options_, sensitivity_counts_);
+  if (activity_.has_value()) {
+    p.avg_activity_sw0 = activity_->finish().avg_gate_toggle_rate;
+  } else {
+    const util::LockGuard lock(mutex_);
+    p.avg_activity_sw0 = exact_sw0_.value();
+  }
+  const sim::SensitivityResult sens = sensitivity_.finish();
   p.sensitivity_s = std::max(1, sens.sensitivity);
   p.sensitivity_exact = sens.exact;
   return p;
@@ -106,11 +100,7 @@ CircuitProfile ProfileExtraction::finish() {
 CircuitProfile extract_profile(const netlist::Circuit& circuit,
                                const ProfileOptions& options,
                                exec::Parallelism how) {
-  ProfileExtraction extraction(circuit, options);
-  exec::for_each_index(
-      extraction.num_tasks(),
-      [&extraction](std::size_t task) { extraction.run_task(task); }, how);
-  return extraction.finish();
+  return exec::run_tasks(ProfileExtraction(circuit, options), how);
 }
 
 CircuitProfile make_profile(std::string name, double sensitivity,

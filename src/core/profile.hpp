@@ -12,7 +12,6 @@
 #include "exec/thread_pool.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/activity.hpp"
-#include "sim/flat_circuit.hpp"
 #include "sim/sensitivity.hpp"
 #include "util/sync.hpp"
 
@@ -49,20 +48,18 @@ struct ProfileOptions {
 };
 
 // Measures a profile from a (typically mapped) netlist, parallelizing the
-// Monte-Carlo substrates per `how`: a ProfileExtraction run over
-// exec::for_each_index. Results are bit-identical for any thread count.
+// Monte-Carlo substrates per `how`: exec::run_tasks over a
+// ProfileExtraction. Results are bit-identical for any thread count.
 [[nodiscard]] CircuitProfile extract_profile(const netlist::Circuit& circuit,
                                              const ProfileOptions& options = {},
                                              exec::Parallelism how = {});
 
-// ---- shard-level building blocks -----------------------------------------
-//
-// One profile extraction as a fixed set of independent tasks: either one
+// One profile extraction as a task set (exec::run_tasks): either one
 // exact-activity task (BDD, with a silent serial Monte-Carlo fallback when
-// the BDD blows up) or the Monte-Carlo activity shards, followed by the
-// sensitivity shards. Tasks merge into the extraction's accumulators
-// commutatively, so any schedule — serial, a pool, or interleaved with other
-// jobs' tasks in exec::BatchEvaluator — yields the same profile bits.
+// the BDD blows up) or the tasks of a sim::ActivityTasks, followed by the
+// tasks of a sim::SensitivityTasks. Those merge commutatively, so any
+// schedule — serial, a pool, or interleaved with other jobs' tasks in
+// exec::BatchEvaluator — yields the same profile bits.
 class ProfileExtraction {
  public:
   // Validates like extract_profile (std::invalid_argument on a gateless
@@ -72,7 +69,7 @@ class ProfileExtraction {
                     const ProfileOptions& options);
 
   [[nodiscard]] std::size_t num_tasks() const noexcept {
-    return activity_tasks() + sensitivity_plan_.num_shards();
+    return activity_tasks() + sensitivity_.num_tasks();
   }
 
   // Runs task `task` in [0, num_tasks()); safe to call concurrently for
@@ -84,20 +81,16 @@ class ProfileExtraction {
 
  private:
   [[nodiscard]] std::size_t activity_tasks() const noexcept {
-    return exact_activity_ ? 1 : activity_plan_.num_shards();
+    return activity_.has_value() ? activity_->num_tasks() : 1;
   }
 
   const netlist::Circuit& circuit_;
-  sim::FlatCircuit flat_;  // shared read-only by every simulation task
   sim::ActivityOptions activity_options_;
-  sim::SensitivityOptions sensitivity_options_;
-  bool exact_activity_ = false;  // one BDD task instead of activity shards
-  exec::ShardPlan activity_plan_{0, 1};
-  exec::ShardPlan sensitivity_plan_{0, 1};
+  // Monte-Carlo activity; nullopt selects the one exact (BDD) task.
+  std::optional<sim::ActivityTasks> activity_;
+  sim::SensitivityTasks sensitivity_;
 
-  util::Mutex mutex_;  // guards the accumulators
-  sim::ActivityCounts activity_counts_ ENB_GUARDED_BY(mutex_);
-  sim::SensitivityCounts sensitivity_counts_ ENB_GUARDED_BY(mutex_);
+  util::Mutex mutex_;  // guards the exact task's result
   std::optional<double> exact_sw0_ ENB_GUARDED_BY(mutex_);
 };
 

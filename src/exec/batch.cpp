@@ -16,7 +16,6 @@
 #include "analysis/lint.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/campaign.hpp"
-#include "fault/fault_model.hpp"
 #include "harden/pareto.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -31,6 +30,7 @@ namespace {
 using analysis::AnalysisRequest;
 using analysis::AnalysisResult;
 using analysis::CompiledCircuit;
+using analysis::ResultPayload;
 using netlist::Circuit;
 
 const Circuit& golden_of(const AnalysisRequest& request) {
@@ -38,12 +38,97 @@ const Circuit& golden_of(const AnalysisRequest& request) {
                                     : request.circuit.circuit();
 }
 
-// Error isolation for a unit of work (a request or an extraction group): the
-// first failing task records its message and the unit's remaining tasks
-// turn into no-ops; other units are unaffected.
-struct FailureSlot {
+// A unit's work: a task set (exec::run_tasks's shape), type-erased, whose
+// finish() yields the unit's result payload.
+struct TaskSet {
+  std::size_t num_tasks = 0;
+  std::function<void(std::size_t)> run_task;
+  std::function<ResultPayload()> finish;
+};
+
+template <typename Tasks, typename... Args>
+TaskSet erase(Args&&... args) {
+  const auto tasks = std::make_shared<Tasks>(std::forward<Args>(args)...);
+  return {tasks->num_tasks(),
+          [tasks](std::size_t task) { tasks->run_task(task); },
+          [tasks]() -> ResultPayload { return tasks->finish(); }};
+}
+
+// A request evaluated whole by its one task.
+template <typename Compute>
+TaskSet one_task(Compute compute) {
+  const auto payload = std::make_shared<ResultPayload>();
+  return {1, [payload, compute](std::size_t) { *payload = compute(); },
+          [payload] { return std::move(*payload); }};
+}
+
+// One profile extraction shared by every request in the batch that names the
+// same (handle, profile options): its tasks enter the flat task space once,
+// and finish() also lands the profile in the handle's cache.
+class SharedExtraction {
+ public:
+  // Validates exactly like core::extract_profile.
+  SharedExtraction(CompiledCircuit handle, const core::ProfileOptions& options)
+      : handle_(std::move(handle)),
+        options_(options),
+        extraction_(handle_.circuit(), options_) {}
+
+  [[nodiscard]] std::size_t num_tasks() const noexcept {
+    return extraction_.num_tasks();
+  }
+  void run_task(std::size_t task) { extraction_.run_task(task); }
+
+  [[nodiscard]] core::CircuitProfile finish() {
+    core::CircuitProfile profile = extraction_.finish();
+    handle_.store_profile(options_, profile);
+    const auto end = std::chrono::steady_clock::now();
+    static obs::Histogram& seconds =
+        obs::Registry::global().histogram("analysis-extraction-seconds");
+    seconds.observe(std::chrono::duration<double>(end - started_).count());
+    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+    if (recorder.enabled()) {
+      recorder.record("profile-extraction",
+                      obs::SpanHandle{recorder.new_id()}, obs::SpanHandle{},
+                      started_, end, handle_.name());
+    }
+    return profile;
+  }
+
+ private:
+  CompiledCircuit handle_;
+  core::ProfileOptions options_;
+  core::ProfileExtraction extraction_;
+  // Stamped at creation, so the extraction histogram and trace span cover
+  // the sharded extraction's wall clock, queueing included.
+  std::chrono::steady_clock::time_point started_ =
+      std::chrono::steady_clock::now();
+};
+
+// One unit of a batch run: a request, or a shared extraction that its
+// profile consumers wait on. A unit whose task fails records the first
+// message and its remaining tasks turn into no-ops; other units are
+// unaffected.
+struct Unit {
+  TaskSet tasks;  // released once the unit has finished
+  // The request the unit answers and its submission index; none for an
+  // extraction, which hands its profile to its dependents instead.
+  const AnalysisRequest* request = nullptr;
+  std::size_t index = 0;
+  Unit* extraction = nullptr;     // the extraction a profile consumer awaits
+  std::vector<Unit*> dependents;  // an extraction's profile consumers
+  // A profile consumer's profile: the handle's cached copy found at prepare
+  // time, or the one its extraction produced.
+  std::optional<core::CircuitProfile> profile;
+  // Own tasks, the awaited extraction, and one count the run releases once
+  // every unit is planned; the thread that takes this to zero finishes the
+  // unit.
+  std::atomic<std::size_t> pending{0};
+  // Prepare-time stamp; emission computes the job's wall-clock elapsed from
+  // it (observability only — never part of the result's serialized bytes).
+  std::chrono::steady_clock::time_point start{};
+
   std::atomic<bool> failed{false};
-  util::Mutex mutex;  // guards error and the unit's shared results
+  util::Mutex mutex;  // guards error
   std::string error ENB_GUARDED_BY(mutex);
 
   void record_error(const std::string& message) {
@@ -58,331 +143,134 @@ struct FailureSlot {
   }
 };
 
-// One profile extraction shared by every request in the batch that names the
-// same (handle, profile options): the core::ProfileExtraction's tasks enter
-// the flat task space exactly once and the finished profile lands in the
-// handle's cache. The group only adds the batch's bookkeeping.
-struct ExtractionGroup : FailureSlot {
-  // Validates exactly like core::extract_profile (the extraction's
-  // constructor throws).
-  ExtractionGroup(CompiledCircuit handle, const core::ProfileOptions& opts)
-      : circuit(std::move(handle)),
-        options(opts),
-        extraction(circuit.circuit(), options),
-        remaining(extraction.num_tasks()) {}
-
-  CompiledCircuit circuit;
-  core::ProfileOptions options;
-  core::ProfileExtraction extraction;
-
-  std::atomic<std::size_t> remaining;
-  // Stamped at group creation; assemble() observes the extraction histogram
-  // and trace span from it, so the span covers the sharded extraction
-  // wall-clock (queueing included) like the serial path's span does.
-  std::chrono::steady_clock::time_point started =
-      std::chrono::steady_clock::now();
-  // Set once by assemble(); dependents read it under the lock in finalize.
-  std::optional<core::CircuitProfile> profile ENB_GUARDED_BY(mutex);
-  std::vector<std::size_t> dependents;  // request indices
-
-  // Run by whichever worker finishes the last task; the profile is stored
-  // both here (for this batch's dependents) and in the handle's cache (for
-  // every later consumer of the handle).
-  void assemble() {
-    core::CircuitProfile p = extraction.finish();
-    circuit.store_profile(options, p);
-    {
-      const util::LockGuard lock(mutex);
-      profile = std::move(p);
-    }
-
-    const auto end = std::chrono::steady_clock::now();
-    static obs::Histogram& seconds =
-        obs::Registry::global().histogram("analysis-extraction-seconds");
-    seconds.observe(std::chrono::duration<double>(end - started).count());
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    if (recorder.enabled()) {
-      recorder.record("profile-extraction",
-                      obs::SpanHandle{recorder.new_id()}, obs::SpanHandle{},
-                      started, end, circuit.name());
-    }
-  }
-};
-
-// All per-request mutable state for one batch run. A request's shard
-// accumulators live in its task closures and merge commutatively (sums,
-// slot-per-shard writes) under the state's lock, so shard completion order
-// never reaches the result.
-struct JobState : FailureSlot {
-  const AnalysisRequest* request = nullptr;
-  // Prepare-time stamp; emission computes the job's wall-clock elapsed from
-  // it (observability only — never part of the result's serialized bytes).
-  std::chrono::steady_clock::time_point start{};
-  std::size_t num_tasks = 0;  // own tasks (excludes the extraction group's)
-  std::function<void(JobState&, std::size_t)> run_task;
-  std::function<void(JobState&, AnalysisResult&)> finalize;
-  // Shared extraction this request waits on (one completion unit).
-  ExtractionGroup* extraction = nullptr;
-  // Completion units left: own tasks + (extraction ? 1 : 0). The thread that
-  // takes this to zero finalizes and emits the result.
-  std::atomic<std::size_t> pending{0};
-  // Profile consumers: the profile found in the handle's cache at prepare
-  // time (else `extraction` supplies it).
-  std::optional<core::CircuitProfile> cached_profile;
-  // Requests evaluated whole by one task (run_once): its payload.
-  std::optional<analysis::ResultPayload> payload ENB_GUARDED_BY(mutex);
-};
-
-// ---- per-kind preparation -------------------------------------------------
+// ---- per-kind task sets ---------------------------------------------------
 //
-// One prepare overload per request struct validates the spec (throwing like
-// the standalone estimator would), sizes the task space, and installs the
-// task body and the finalize reduction. Task bodies only call the
-// estimators' shard-level building blocks, which is what makes batched
-// results bit-identical to direct calls.
+// One overload per request struct validates the spec (throwing like the
+// standalone estimator would) and returns the unit's task set — the same
+// task set the estimator runs, which is what makes batched results
+// bit-identical to direct calls.
 
 struct Preparation {
   const AnalysisRequest& request;
-  JobState& state;
+  Unit& unit;
   Parallelism how;  // the batch's
 };
 
-// A sharded request: shard i's counts (`shard(request, i)`) merge into one
-// total that `finish(request, total)` turns into the payload.
-template <typename Counts>
-void merge_into(Counts& total, const Counts& shard) {
-  total.merge(shard);
-}
-void merge_into(std::uint64_t& total, std::uint64_t shard) { total += shard; }
-
-template <typename Counts, typename Shard, typename Finish>
-void run_sharded(JobState& state, std::size_t shards, Counts total,
-                 Shard shard, Finish finish) {
-  auto counts = std::make_shared<Counts>(std::move(total));
-  state.num_tasks = shards;
-  state.run_task = [counts, shard = std::move(shard)](JobState& s,
-                                                     std::size_t i) {
-    const Counts local = shard(*s.request, i);
-    const util::LockGuard lock(s.mutex);
-    merge_into(*counts, local);
-  };
-  state.finalize = [counts, finish = std::move(finish)](JobState& s,
-                                                       AnalysisResult& r) {
-    const util::LockGuard lock(s.mutex);
-    analysis::set_payload(r, finish(*s.request, *counts));
-  };
+TaskSet make_tasks(const analysis::ReliabilityRequest& spec,
+                   const Preparation& p) {
+  return erase<sim::ReliabilityTasks>(p.request.circuit.circuit(),
+                                      golden_of(p.request), spec.epsilon,
+                                      spec.options);
 }
 
-void prepare(const analysis::ReliabilityRequest& spec, const Preparation& p) {
-  sim::validate_reliability_inputs(p.request.circuit.circuit(),
-                                   golden_of(p.request), spec.options);
-  const ShardPlan plan = sim::reliability_shard_plan(spec.options);
-  run_sharded(
-      p.state, plan.num_shards(), std::uint64_t{0},
-      [plan, &spec](const AnalysisRequest& request, std::size_t shard) {
-        return sim::reliability_shard_failures(
-            request.circuit.circuit(), golden_of(request), spec.epsilon,
-            spec.options, plan.shard(shard));
-      },
-      [plan, &spec](const AnalysisRequest&, std::uint64_t failures) {
-        sim::ReliabilityResult rel =
-            sim::wilson_interval(failures, plan.total() * sim::kWordBits);
-        rel.requested_trials = spec.options.trials;
-        return rel;
-      });
+TaskSet make_tasks(const analysis::WorstCaseRequest& spec,
+                   const Preparation& p) {
+  return erase<sim::WorstCaseTasks>(p.request.circuit.circuit(),
+                                    golden_of(p.request), spec.epsilon,
+                                    spec.options);
 }
 
-void prepare(const analysis::WorstCaseRequest& spec, const Preparation& p) {
-  sim::validate_worst_case_inputs(p.request.circuit.circuit(),
-                                  golden_of(p.request), spec.options);
-  // One slot per sampled input: disjoint writes, no lock needed.
-  auto failures = std::make_shared<std::vector<std::uint64_t>>(
-      static_cast<std::size_t>(spec.options.num_inputs), 0);
-  p.state.num_tasks = failures->size();
-  p.state.run_task = [failures, &spec](JobState& s, std::size_t sample) {
-    (*failures)[sample] = sim::worst_case_sample_failures(
-        s.request->circuit.circuit(), golden_of(*s.request), spec.epsilon,
-        spec.options, sample);
-  };
-  p.state.finalize = [failures, &spec](JobState& s, AnalysisResult& r) {
-    analysis::set_payload(
-        r, sim::finalize_worst_case(s.request->circuit.circuit(), spec.options,
-                                    *failures));
-  };
+TaskSet make_tasks(const analysis::ActivityRequest& spec,
+                   const Preparation& p) {
+  return erase<sim::ActivityTasks>(p.request.circuit.circuit(), spec.options);
 }
 
-void prepare(const analysis::ActivityRequest& spec, const Preparation& p) {
-  sim::validate_activity_inputs(spec.options);
-  const ShardPlan plan = sim::activity_shard_plan(spec.options);
-  const Circuit& circuit = p.request.circuit.circuit();
-  auto flat = std::make_shared<const sim::FlatCircuit>(circuit);
-  run_sharded(
-      p.state, plan.num_shards(), sim::ActivityCounts(circuit.node_count()),
-      [plan, flat, &spec](const AnalysisRequest&, std::size_t shard) {
-        return sim::activity_shard_counts(*flat, spec.options,
-                                          plan.shard(shard));
-      },
-      [&spec](const AnalysisRequest& request,
-              const sim::ActivityCounts& counts) {
-        return sim::finalize_activity(request.circuit.circuit(), spec.options,
-                                      counts);
-      });
+TaskSet make_tasks(const analysis::SensitivityRequest& spec,
+                   const Preparation& p) {
+  return erase<sim::SensitivityTasks>(p.request.circuit.circuit(),
+                                      spec.options);
 }
 
-void prepare(const analysis::SensitivityRequest& spec, const Preparation& p) {
-  const Circuit& circuit = p.request.circuit.circuit();
-  sim::validate_sensitivity_inputs(circuit, spec.options);
-  const ShardPlan plan = sim::sensitivity_shard_plan(circuit, spec.options);
-  auto flat = std::make_shared<const sim::FlatCircuit>(circuit);
-  run_sharded(
-      p.state, plan.num_shards(),
-      sim::SensitivityCounts(circuit.num_inputs()),
-      [plan, flat, &spec](const AnalysisRequest&, std::size_t shard) {
-        return sim::sensitivity_shard_counts(*flat, spec.options,
-                                             plan.shard(shard));
-      },
-      [&spec](const AnalysisRequest& request,
-              const sim::SensitivityCounts& counts) {
-        return sim::finalize_sensitivity(request.circuit.circuit(),
-                                         spec.options, counts);
-      });
-}
-
-// The profile a profile consumer analyzes: the handle's cached copy, or the
-// one its extraction group assembled.
-core::CircuitProfile profile_of(JobState& s) {
-  if (s.cached_profile.has_value()) return *s.cached_profile;
-  const util::LockGuard lock(s.extraction->mutex);
-  return *s.extraction->profile;
+TaskSet make_tasks(const analysis::FaultCampaignRequest& spec,
+                   const Preparation& p) {
+  return erase<fault::CampaignTasks>(p.request.circuit.circuit(),
+                                     golden_of(p.request), spec.options);
 }
 
 // Profile consumers add no tasks of their own: prepare() has already found
-// their profile in the handle's cache or joined them to an extraction group.
-void prepare(const analysis::EnergyBoundRequest& spec, const Preparation& p) {
-  p.state.finalize = [&spec](JobState& s, AnalysisResult& r) {
-    if (spec.profile_override.has_value()) {
-      analysis::set_payload(r, core::analyze(*spec.profile_override,
-                                             spec.epsilon, spec.delta,
-                                             spec.energy));
-      return;
-    }
-    core::CircuitProfile profile = profile_of(s);
-    analysis::set_payload(
-        r, core::analyze(profile, spec.epsilon, spec.delta, spec.energy));
-    r.profile = std::move(profile);
-  };
+// their profile in the handle's cache or made them wait on an extraction.
+TaskSet make_tasks(const analysis::EnergyBoundRequest& spec,
+                   const Preparation& p) {
+  return {0, {}, [&spec, &unit = p.unit]() -> ResultPayload {
+            return core::analyze(spec.profile_override.has_value()
+                                     ? *spec.profile_override
+                                     : *unit.profile,
+                                 spec.epsilon, spec.delta, spec.energy);
+          }};
 }
 
-void prepare(const analysis::ProfileRequest&, const Preparation& p) {
-  p.state.finalize = [](JobState& s, AnalysisResult& r) {
-    analysis::set_payload(r, profile_of(s));
-  };
+TaskSet make_tasks(const analysis::ProfileRequest&, const Preparation& p) {
+  return {0, {}, [&unit = p.unit]() -> ResultPayload { return *unit.profile; }};
 }
 
-// The fault universe is built once at prepare time and shared (read-only)
-// by every pattern shard.
-void prepare(const analysis::FaultCampaignRequest& spec,
-             const Preparation& p) {
+TaskSet make_tasks(const analysis::LintRequest& spec, const Preparation& p) {
+  return one_task([&spec, &circuit = p.request.circuit.circuit()] {
+    return analysis::lint_circuit(circuit, spec.options);
+  });
+}
+
+TaskSet make_tasks(const analysis::CecRequest& spec, const Preparation& p) {
   const Circuit& circuit = p.request.circuit.circuit();
-  const Circuit& golden = golden_of(p.request);
-  fault::validate_campaign_inputs(circuit, golden, spec.options);
-  auto universe = std::make_shared<const fault::FaultUniverse>(
-      fault::FaultUniverse::build(circuit, spec.options.collapse,
-                                  spec.options.prune_untestable));
-  const ShardPlan plan = fault::campaign_shard_plan(golden, spec.options);
-  run_sharded(
-      p.state, plan.num_shards(),
-      fault::CampaignCounts(universe->num_classes()),
-      [plan, universe, &spec](const AnalysisRequest& request,
-                              std::size_t shard) {
-        return fault::campaign_shard_counts(
-            request.circuit.circuit(), golden_of(request), *universe,
-            spec.options, plan.shard(shard));
-      },
-      [universe, &spec](const AnalysisRequest& request,
-                        const fault::CampaignCounts& counts) {
-        return fault::finalize_campaign(request.circuit.circuit(),
-                                        golden_of(request), *universe,
-                                        spec.options, counts);
-      });
-}
-
-// A request evaluated whole by one task: `compute` maps the request to its
-// payload, which finalize installs.
-template <typename Compute>
-void run_once(JobState& state, Compute compute) {
-  (void)state.request->circuit.circuit();  // throws on an empty handle
-  state.num_tasks = 1;
-  state.run_task = [compute = std::move(compute)](JobState& s, std::size_t) {
-    analysis::ResultPayload payload = compute(*s.request);
-    const util::LockGuard lock(s.mutex);
-    s.payload = std::move(payload);
-  };
-  state.finalize = [](JobState& s, AnalysisResult& r) {
-    const util::LockGuard lock(s.mutex);
-    analysis::set_payload(r, std::move(*s.payload));
-  };
-}
-
-void prepare(const analysis::LintRequest& spec, const Preparation& p) {
-  run_once(p.state, [&spec](const AnalysisRequest& request) {
-    return analysis::lint_circuit(request.circuit.circuit(), spec.options);
-  });
-}
-
-void prepare(const analysis::CecRequest& spec, const Preparation& p) {
-  run_once(p.state, [&spec](const AnalysisRequest& request) {
-    return analysis::check_equivalence(request.circuit.circuit(),
-                                       request.golden->circuit(), spec.options);
-  });
   if (!p.request.golden.has_value()) {
     throw std::invalid_argument(
         "cec requires a golden circuit to compare against");
   }
+  const Circuit& golden = p.request.golden->circuit();
+  return one_task([&spec, &circuit, &golden] {
+    return analysis::check_equivalence(circuit, golden, spec.options);
+  });
 }
 
 // The sweep drives its own nested batch, inline on this worker (pool
 // reentrancy contract): serially when this batch is serial and on the global
 // pool otherwise — never on a dedicated pool, which would start a pool per
 // concurrent harden job.
-void prepare(const analysis::HardenRequest& spec, const Preparation& p) {
+TaskSet make_tasks(const analysis::HardenRequest& spec, const Preparation& p) {
+  (void)p.request.circuit.circuit();  // throws on an empty handle
   const Parallelism nested = p.how.threads == 1 ? Parallelism::serial()
                                                 : Parallelism::global_pool();
-  run_once(p.state, [&spec, nested](const AnalysisRequest& request) {
+  return one_task([&spec, &request = p.request, nested] {
     return harden::pareto_sweep(request.circuit, spec.options, nested);
   });
 }
 
-// Finds or creates the extraction group for (request.circuit, options).
-ExtractionGroup& join_extraction_group(
-    std::size_t job_index, const AnalysisRequest& request,
-    const core::ProfileOptions& options, std::deque<ExtractionGroup>& groups) {
-  for (ExtractionGroup& group : groups) {
-    if (group.circuit.same_handle(request.circuit) &&
-        group.options == options) {
-      group.dependents.push_back(job_index);
-      return group;
-    }
-  }
-  ExtractionGroup& group = groups.emplace_back(request.circuit, options);
-  group.dependents.push_back(job_index);
-  return group;
-}
+// The shared extractions of a batch run, keyed by (handle, profile options).
+struct ExtractionKey {
+  CompiledCircuit handle;
+  core::ProfileOptions options;
+  Unit* unit;
+};
 
-void prepare(std::size_t job_index, const AnalysisRequest& request,
-             JobState& state, std::deque<ExtractionGroup>& groups,
-             Parallelism how) {
-  if (const core::ProfileOptions* profile =
+// Builds `unit`'s task set; a profile consumer whose profile is not cached
+// first joins (or creates) the extraction of its (handle, options).
+void prepare(Unit& unit, std::deque<Unit>& units,
+             std::vector<ExtractionKey>& extractions, Parallelism how) {
+  const AnalysisRequest& request = *unit.request;
+  if (const core::ProfileOptions* options =
           analysis::profile_options(request.options)) {
-    state.cached_profile = request.circuit.cached_profile(*profile);
-    if (!state.cached_profile.has_value()) {
-      state.extraction =
-          &join_extraction_group(job_index, request, *profile, groups);
+    unit.profile = request.circuit.cached_profile(*options);
+    if (!unit.profile.has_value()) {
+      const auto same = [&](const ExtractionKey& key) {
+        return key.handle.same_handle(request.circuit) &&
+               key.options == *options;
+      };
+      auto found = std::find_if(extractions.begin(), extractions.end(), same);
+      if (found == extractions.end()) {
+        // Validated before the unit exists, so a failure leaves none behind.
+        TaskSet tasks = erase<SharedExtraction>(request.circuit, *options);
+        Unit& extraction = units.emplace_back();
+        extraction.tasks = std::move(tasks);
+        found = extractions.insert(
+            extractions.end(), {request.circuit, *options, &extraction});
+      }
+      unit.extraction = found->unit;
+      found->unit->dependents.push_back(&unit);
     }
   }
-  const Preparation preparation{request, state, how};
-  std::visit([&](const auto& spec) { prepare(spec, preparation); },
-             request.options);
+  const Preparation preparation{request, unit, how};
+  unit.tasks = std::visit(
+      [&](const auto& spec) { return make_tasks(spec, preparation); },
+      request.options);
 }
 
 }  // namespace
@@ -394,8 +282,10 @@ std::size_t BatchEvaluator::submit(analysis::AnalysisRequest request) {
 
 void BatchEvaluator::run(const ResultSink& sink) {
   const std::size_t num_jobs = requests_.size();
-  std::vector<JobState> states(num_jobs);
-  std::deque<ExtractionGroup> groups;  // stable addresses
+  // Requests first, then the shared extractions; a deque keeps addresses
+  // stable as extractions are appended.
+  std::deque<Unit> units(num_jobs);
+  std::vector<ExtractionKey> extractions;
   const obs::Span batch_span("batch-run", {},
                              "jobs=" + std::to_string(num_jobs));
   static obs::Counter& jobs_total =
@@ -403,27 +293,31 @@ void BatchEvaluator::run(const ResultSink& sink) {
   static obs::Counter& jobs_failed =
       obs::Registry::global().counter("batch-job-failures-total");
 
-  // Phase 1 (serial, cheap): validate every request, size its task space,
-  // and group shared profile extractions. A request that fails validation is
+  // Phase 1 (serial, cheap): validate every request and build its task set,
+  // grouping shared profile extractions. A request that fails validation is
   // isolated into an error result and contributes no tasks.
   for (std::size_t j = 0; j < num_jobs; ++j) {
-    states[j].request = &requests_[j];
-    states[j].start = std::chrono::steady_clock::now();
+    Unit& unit = units[j];
+    unit.request = &requests_[j];
+    unit.index = j;
+    unit.start = std::chrono::steady_clock::now();
     try {
-      prepare(j, requests_[j], states[j], groups, how_);
+      prepare(unit, units, extractions, how_);
     } catch (const std::exception& e) {
-      states[j].record_error(e.what());
-      states[j].num_tasks = 0;
-      states[j].extraction = nullptr;
+      unit.record_error(e.what());
+      unit.tasks = {};
     }
   }
-  for (std::size_t j = 0; j < num_jobs; ++j) {
-    states[j].pending.store(
-        states[j].num_tasks + (states[j].extraction != nullptr ? 1 : 0),
+  std::vector<std::size_t> offsets(units.size() + 1, 0);
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    const std::size_t tasks = units[u].tasks.num_tasks;
+    offsets[u + 1] = offsets[u] + tasks;
+    units[u].pending.store(
+        tasks + (units[u].extraction != nullptr ? 1 : 0) + 1,
         std::memory_order_relaxed);
   }
 
-  // Emission: build the result (finalize or error), then hand it to the
+  // Emission: build the result (payload or error), then hand it to the
   // sink under one lock — the sink sees results serially, in completion
   // order, from unspecified threads. A throwing sink must not cancel the
   // rest of the batch (per-request isolation extends to delivery): the
@@ -433,42 +327,30 @@ void BatchEvaluator::run(const ResultSink& sink) {
     util::Mutex mutex;
     std::exception_ptr error ENB_GUARDED_BY(mutex);
   } delivery;
-  const auto emit = [&](std::size_t j) {
-    JobState& state = states[j];
+  const auto emit = [&](Unit& unit, ResultPayload payload) {
     AnalysisResult result;
-    result.index = j;
-    result.name = requests_[j].name;
-    result.kind = requests_[j].kind();
-    const bool group_failed =
-        state.extraction != nullptr && state.extraction->failed.load();
-    if (state.failed.load() || group_failed) {
-      result.ok = false;
-      result.error = state.failed.load() ? state.error_text()
-                                         : state.extraction->error_text();
+    result.index = unit.index;
+    result.name = unit.request->name;
+    result.kind = unit.request->kind();
+    result.ok = !unit.failed.load();
+    if (result.ok) {
+      analysis::set_payload(result, std::move(payload));
+      if (unit.profile.has_value()) result.profile = std::move(unit.profile);
     } else {
-      try {
-        state.finalize(state, result);
-        result.ok = true;
-      } catch (const std::exception& e) {
-        result.ok = false;
-        result.error = e.what();
-        result.metrics.clear();
-        result.profile.reset();
-        result.payload = std::monostate{};
-      }
+      result.error = unit.error_text();
     }
     // Per-job wall-clock and trace event. Observational only: elapsed rides
     // a field the JSON/CSV writers never serialize, and the trace event is
     // recorded outside the result entirely.
     const auto end = std::chrono::steady_clock::now();
     result.elapsed_seconds =
-        std::chrono::duration<double>(end - state.start).count();
+        std::chrono::duration<double>(end - unit.start).count();
     jobs_total.add(1);
     if (!result.ok) jobs_failed.add(1);
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     if (recorder.enabled()) {
       recorder.record("batch-job", obs::SpanHandle{recorder.new_id()},
-                      batch_span.handle(), state.start, end, result.name);
+                      batch_span.handle(), unit.start, end, result.name);
     }
     const util::LockGuard lock(delivery.mutex);
     try {
@@ -477,81 +359,59 @@ void BatchEvaluator::run(const ResultSink& sink) {
       if (delivery.error == nullptr) delivery.error = std::current_exception();
     }
   };
-  const auto complete_unit = [&](std::size_t j) {
-    if (states[j].pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      emit(j);
+  // Finishes a unit whose tasks and extraction are done, releases its task
+  // set, and either emits its result or completes its dependents.
+  std::function<void(Unit&)> complete;
+  const auto finish = [&](Unit& unit) {
+    ResultPayload payload;
+    if (!unit.failed.load()) {
+      try {
+        payload = unit.tasks.finish();
+      } catch (const std::exception& e) {
+        unit.record_error(e.what());
+      }
+    }
+    unit.tasks = {};
+    if (unit.request != nullptr) emit(unit, std::move(payload));
+    for (Unit* dependent : unit.dependents) {
+      if (unit.failed.load()) {
+        dependent->record_error(unit.error_text());
+      } else {
+        dependent->profile = std::get<core::CircuitProfile>(payload);
+      }
+      complete(*dependent);
+    }
+  };
+  complete = [&](Unit& unit) {
+    if (unit.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      finish(unit);
     }
   };
 
-  // Requests with no pending work (validation failures, cache-hit profiles)
-  // emit before the parallel phase.
-  for (std::size_t j = 0; j < num_jobs; ++j) {
-    if (states[j].pending.load(std::memory_order_relaxed) == 0) emit(j);
-  }
+  // Units with no other pending work (validation failures, cache-hit
+  // profiles) finish here, before the parallel phase.
+  for (Unit& unit : units) complete(unit);
 
-  // Phase 2 (parallel): every request's own tasks plus every extraction
-  // group's shards flattened into one task space over the pool. A worker
-  // that completes a request's (or group's) last unit finalizes and emits
+  // Phase 2 (parallel): every unit's tasks flattened into one task space
+  // over the pool. A worker that completes a unit's last task finishes it
   // right there — that is what makes the sink stream.
-  std::vector<std::size_t> job_offsets(num_jobs + 1, 0);
-  for (std::size_t j = 0; j < num_jobs; ++j) {
-    job_offsets[j + 1] = job_offsets[j] + states[j].num_tasks;
-  }
-  const std::size_t job_total = job_offsets[num_jobs];
-  std::vector<std::size_t> group_offsets(groups.size() + 1, 0);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    group_offsets[g + 1] =
-        group_offsets[g] + groups[g].extraction.num_tasks();
-  }
-  const std::size_t total = job_total + group_offsets[groups.size()];
-
   for_each_index(
-      total,
+      offsets.back(),
       [&](std::size_t flat) {
-        if (flat < job_total) {
-          const std::size_t j = static_cast<std::size_t>(
-              std::upper_bound(job_offsets.begin(), job_offsets.end(), flat) -
-              job_offsets.begin() - 1);
-          JobState& state = states[j];
-          if (!state.failed.load(std::memory_order_relaxed)) {
-            try {
-              state.run_task(state, flat - job_offsets[j]);
-            } catch (const std::exception& e) {
-              state.record_error(e.what());
-            } catch (...) {
-              state.record_error("unknown error");
-            }
-          }
-          complete_unit(j);
-          return;
-        }
-        const std::size_t offset = flat - job_total;
-        const std::size_t g = static_cast<std::size_t>(
-            std::upper_bound(group_offsets.begin(), group_offsets.end(),
-                             offset) -
-            group_offsets.begin() - 1);
-        ExtractionGroup& group = groups[g];
-        if (!group.failed.load(std::memory_order_relaxed)) {
+        const std::size_t u = static_cast<std::size_t>(
+            std::upper_bound(offsets.begin(), offsets.end(), flat) -
+            offsets.begin() - 1);
+        Unit& unit = units[u];
+        if (!unit.failed.load(std::memory_order_relaxed)) {
           try {
-            group.extraction.run_task(offset - group_offsets[g]);
+            unit.tasks.run_task(flat - offsets[u]);
           } catch (const std::exception& e) {
-            group.record_error(e.what());
+            unit.record_error(e.what());
           } catch (...) {
-            group.record_error("unknown error");
+            unit.record_error("unknown error");
           }
         }
-        if (group.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          if (!group.failed.load()) {
-            try {
-              group.assemble();
-            } catch (const std::exception& e) {
-              group.record_error(e.what());
-            }
-          }
-          for (const std::size_t dependent : group.dependents) {
-            complete_unit(dependent);
-          }
-        }
+        complete(unit);
       },
       how_);
 

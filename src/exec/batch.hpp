@@ -1,16 +1,20 @@
 // Batched multi-request evaluation: the server-workload front end of the
-// parallel engine, redesigned (PR 3) around the analysis layer.
+// parallel engine.
 //
 // A BatchEvaluator accepts a queue of typed analysis::AnalysisRequests —
-// each a CompiledCircuit handle plus per-kind options — and schedules them
-// over the shared ThreadPool with two-level parallelism: the Monte-Carlo
-// shards of *every* request are flattened into one task space, so a long
-// request's shards interleave with short requests instead of serializing
-// behind them. Requests hold shared handles, so a hundred-point sweep over
-// one design never clones the netlist, and requests that need the same
-// profile (same handle, same profile key) share a single extraction by
-// construction — its shards run once and the result lands in the handle's
-// cache.
+// each a CompiledCircuit handle plus per-kind options — and runs them as
+// units of one kind: a task set (exec::run_tasks's shape) whose finish()
+// yields the result payload. A sharded request holds its engine's task set
+// (sim::ReliabilityTasks, sim::ActivityTasks, fault::CampaignTasks, ...);
+// lint, cec and harden are one-task sets; and requests that need the same
+// profile (same handle, same profile options) wait on one shared
+// core::ProfileExtraction unit, whose profile lands in the handle's cache.
+// Every unit's tasks are flattened into one task space over the shared
+// ThreadPool, so a long request's shards interleave with short requests
+// instead of serializing behind them, and a unit's task set (simulator
+// state, accumulators) is released as soon as the unit has finished.
+// Requests hold shared handles, so a hundred-point sweep over one design
+// never clones the netlist.
 //
 // Results can be consumed two ways:
 //   run()            — blocking; results indexed by submission order.
@@ -21,12 +25,14 @@
 //                      finishes first never reaches the numbers.
 //
 // Determinism contract: a request's result is a pure function of its own
-// spec. Every shard draws its randomness from the counter-based stream of
-// (request seed, shard index) — exactly the streams the standalone
-// estimators use — and shard accumulators combine through order-insensitive
+// spec. A unit runs the same task set the standalone estimator runs, every
+// shard draws its randomness from the counter-based stream of (request
+// seed, shard index), and task sets merge through order-insensitive
 // reductions (integer sums, max, or slot-per-shard writes). Results are
 // therefore bit-identical to a direct estimator call, and independent of the
-// thread count, the submission order, and whatever else is co-scheduled.
+// thread count, the submission order, and whatever else is co-scheduled. A
+// unit whose task throws fails alone: its remaining tasks become no-ops and
+// its dependents report its error.
 #pragma once
 
 #include <functional>

@@ -89,15 +89,20 @@ void for_each_index(std::size_t count,
                     const std::function<void(std::size_t)>& fn,
                     const Parallelism& policy = {});
 
-// The estimators' common idiom: run body(shard) for every shard of `plan`.
-// The body owns its shard-local state (simulators, accumulators, a PRNG
-// seeded from stream_seed(seed, shard.index)) and must merge into shared
-// totals commutatively.
-inline void for_each_shard(const ShardPlan& plan,
-                           const std::function<void(const Shard&)>& body,
-                           const Parallelism& policy = {}) {
+// Runs a task set and returns its result. A task set is the one shape every
+// piece of sharded work takes (the estimators, profile extraction, fault
+// campaigns; the batch engine runs the same task sets, type-erased, as its
+// units): its constructor validates and plans, num_tasks() counts the tasks,
+// run_task(i) runs task i (possibly concurrently with other tasks, merging
+// into the set's totals commutatively under the set's own synchronization),
+// and finish() turns the totals into the typed result once every task has
+// run. Any schedule of the tasks therefore gives the same result.
+template <typename Tasks>
+auto run_tasks(Tasks&& tasks, const Parallelism& policy = {}) {
   for_each_index(
-      plan.num_shards(), [&](std::size_t i) { body(plan.shard(i)); }, policy);
+      tasks.num_tasks(), [&tasks](std::size_t task) { tasks.run_task(task); },
+      policy);
+  return tasks.finish();
 }
 
 }  // namespace enb::exec

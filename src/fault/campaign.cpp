@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
 #include <numeric>
 #include <ostream>
 #include <set>
@@ -205,6 +204,13 @@ CampaignCounts sweep_shard(const Circuit& circuit, const Circuit& golden,
   return counts;
 }
 
+// Validates, then plans the pattern shards.
+exec::ShardPlan validated_plan(const Circuit& circuit, const Circuit& golden,
+                               const CampaignOptions& options) {
+  validate_campaign_inputs(circuit, golden, options);
+  return campaign_shard_plan(golden, options);
+}
+
 }  // namespace
 
 ExhaustiveCapError::ExhaustiveCapError(std::size_t logical_inputs)
@@ -322,19 +328,6 @@ void CampaignCounts::merge(const CampaignCounts& other) {
   passes += other.passes;
 }
 
-CampaignCounts campaign_shard_counts(const Circuit& circuit,
-                                     const Circuit& golden,
-                                     const FaultUniverse& universe,
-                                     const CampaignOptions& options,
-                                     const exec::Shard& shard) {
-  const obs::Span span("fault-sweep-shard", {},
-                       "shard=" + std::to_string(shard.index));
-  return with_lane_width(options.lanes, [&](auto tag) {
-    using V = typename decltype(tag)::type;
-    return sweep_shard<V>(circuit, golden, universe, options, shard, nullptr);
-  });
-}
-
 FaultCampaignResult finalize_campaign(const Circuit& circuit,
                                       const Circuit& golden,
                                       const FaultUniverse& universe,
@@ -389,28 +382,63 @@ FaultCampaignResult finalize_campaign(const Circuit& circuit,
   return result;
 }
 
+CampaignTasks::CampaignTasks(const Circuit& circuit, const Circuit& golden,
+                             const CampaignOptions& options)
+    : circuit_(circuit),
+      golden_(golden),
+      options_(options),
+      plan_(validated_plan(circuit, golden, options)),
+      owned_universe_(FaultUniverse::build(circuit, options.collapse,
+                                           options.prune_untestable)),
+      universe_(*owned_universe_),
+      counts_(universe_.num_classes()) {}
+
+CampaignTasks::CampaignTasks(const Circuit& circuit, const Circuit& golden,
+                             const FaultUniverse& universe,
+                             const CampaignOptions& options,
+                             DetectionTable& table)
+    : circuit_(circuit),
+      golden_(golden),
+      options_(options),
+      plan_(validated_plan(circuit, golden, options)),
+      universe_(universe),
+      table_(&table),
+      counts_(universe.num_classes()) {
+  table.patterns.resize(plan_.total());
+  table.detected.resize(plan_.total());
+}
+
+void CampaignTasks::run_task(std::size_t task) {
+  const exec::Shard shard = plan_.shard(task);
+  const obs::Span span("fault-sweep-shard", {},
+                       "shard=" + std::to_string(shard.index));
+  // Slot-per-pattern table rows are race-free (disjoint slots); only the
+  // counts merge needs the lock.
+  const CampaignCounts local = with_lane_width(options_.lanes, [&](auto tag) {
+    using V = typename decltype(tag)::type;
+    return sweep_shard<V>(circuit_, golden_, universe_, options_, shard,
+                          table_);
+  });
+  const util::LockGuard lock(mutex_);
+  counts_.merge(local);
+}
+
+FaultCampaignResult CampaignTasks::finish() {
+  const util::LockGuard lock(mutex_);
+  if (table_ != nullptr) {
+    table_->counts = counts_;
+    table_->passes = counts_.passes;
+  }
+  return finalize_campaign(circuit_, golden_, universe_, options_, counts_);
+}
+
 FaultCampaignResult run_campaign(const Circuit& circuit, const Circuit* golden,
                                  const CampaignOptions& options,
                                  exec::Parallelism how) {
-  const Circuit& reference = golden != nullptr ? *golden : circuit;
   const obs::Span span("fault-campaign", {}, circuit.name());
-  validate_campaign_inputs(circuit, reference, options);
-  const FaultUniverse universe =
-      FaultUniverse::build(circuit, options.collapse, options.prune_untestable);
-  const exec::ShardPlan plan = campaign_shard_plan(reference, options);
-
-  CampaignCounts total(universe.num_classes());
-  std::mutex mutex;
-  exec::for_each_shard(
-      plan,
-      [&](const exec::Shard& shard) {
-        const CampaignCounts local =
-            campaign_shard_counts(circuit, reference, universe, options, shard);
-        const std::lock_guard<std::mutex> lock(mutex);
-        total.merge(local);
-      },
+  return exec::run_tasks(
+      CampaignTasks(circuit, golden != nullptr ? *golden : circuit, options),
       how);
-  return finalize_campaign(circuit, reference, universe, options, total);
 }
 
 // ---- detection table / .ans ------------------------------------------------
@@ -420,36 +448,10 @@ DetectionTable build_detection_table(const Circuit& circuit,
                                      const FaultUniverse& universe,
                                      const CampaignOptions& options,
                                      exec::Parallelism how) {
-  validate_campaign_inputs(circuit, golden, options);
-  const exec::ShardPlan plan = campaign_shard_plan(golden, options);
-
   DetectionTable table;
-  table.patterns.resize(plan.total());
-  table.detected.resize(plan.total());
-  table.counts = CampaignCounts(universe.num_classes());
-  std::mutex mutex;
-  exec::for_each_shard(
-      plan,
-      [&](const exec::Shard& shard) {
-        // Slot-per-pattern row writes are race-free (disjoint slots); only
-        // the counts merge needs the lock.
-        const CampaignCounts local =
-            with_lane_width(options.lanes, [&](auto tag) {
-              using V = typename decltype(tag)::type;
-              return sweep_shard<V>(circuit, golden, universe, options, shard,
-                                    &table);
-            });
-        const std::lock_guard<std::mutex> lock(mutex);
-        table.counts.merge(local);
-      },
-      how);
-  table.passes = table.counts.passes;
+  (void)exec::run_tasks(
+      CampaignTasks(circuit, golden, universe, options, table), how);
   return table;
-}
-
-CampaignCounts counts_from_table(const FaultUniverse& /*universe*/,
-                                 const DetectionTable& table) {
-  return table.counts;
 }
 
 void write_ans(std::ostream& out, const Circuit& circuit,

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -52,6 +53,7 @@
 #include "fault/lanes.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/bitpack.hpp"
+#include "util/sync.hpp"
 
 namespace enb::fault {
 
@@ -149,9 +151,9 @@ struct FaultCampaignResult {
 
 // ---- shard-level building blocks -----------------------------------------
 //
-// run_campaign is *defined* as the merge of these shard bodies, and the
-// batch engine schedules exactly the same bodies, so batched campaigns are
-// bit-identical to direct calls by construction.
+// run_campaign and build_detection_table are exec::run_tasks over a
+// CampaignTasks, and the batch engine schedules the same task set, so batched
+// campaigns are bit-identical to direct calls by construction.
 
 // Validation run_campaign applies before sharding: bundle-divisible
 // interfaces, golden/circuit agreement on the logical interface, positive
@@ -197,13 +199,6 @@ struct CampaignCounts {
   void merge(const CampaignCounts& other);
 };
 
-// Counts contributed by one shard of the plan. Precondition: inputs
-// validated and `universe` built for `circuit` with options.collapse.
-[[nodiscard]] CampaignCounts campaign_shard_counts(
-    const netlist::Circuit& circuit, const netlist::Circuit& golden,
-    const FaultUniverse& universe, const CampaignOptions& options,
-    const exec::Shard& shard);
-
 // Serial reduction of the merged counts into the result record.
 [[nodiscard]] FaultCampaignResult finalize_campaign(
     const netlist::Circuit& circuit, const netlist::Circuit& golden,
@@ -237,10 +232,40 @@ struct DetectionTable {
     const FaultUniverse& universe, const CampaignOptions& options,
     exec::Parallelism how = {});
 
-// The aggregate counts of a table (how the CLI derives the summary it
-// shares with manifest campaigns).
-[[nodiscard]] CampaignCounts counts_from_table(const FaultUniverse& universe,
-                                               const DetectionTable& table);
+// A campaign as a task set (exec::run_tasks): one task per pattern shard,
+// first-detection counts merged under the set's lock; finish() reduces them
+// into the result record.
+class CampaignTasks {
+ public:
+  // Validates (validate_campaign_inputs) and builds the circuit's fault
+  // universe.
+  CampaignTasks(const netlist::Circuit& circuit, const netlist::Circuit& golden,
+                const CampaignOptions& options);
+  // The detection-table route: validates, grades `universe` (built for
+  // `circuit` with options.collapse and options.prune_untestable) and fills
+  // every pattern's row of `table`, whose counts and passes finish() sets.
+  // Never drops. `universe` and `table` must outlive the task set.
+  CampaignTasks(const netlist::Circuit& circuit, const netlist::Circuit& golden,
+                const FaultUniverse& universe, const CampaignOptions& options,
+                DetectionTable& table);
+
+  [[nodiscard]] std::size_t num_tasks() const noexcept {
+    return plan_.num_shards();
+  }
+  void run_task(std::size_t task);
+  [[nodiscard]] FaultCampaignResult finish();
+
+ private:
+  const netlist::Circuit& circuit_;
+  const netlist::Circuit& golden_;
+  CampaignOptions options_;
+  exec::ShardPlan plan_;
+  std::optional<FaultUniverse> owned_universe_;  // unless given one
+  const FaultUniverse& universe_;
+  DetectionTable* table_ = nullptr;
+  util::Mutex mutex_;
+  CampaignCounts counts_ ENB_GUARDED_BY(mutex_);
+};
 
 // `.ans`-style rows (as6325400/Fault_Simulation): header
 //   # pattern net sa0_eq sa1_eq

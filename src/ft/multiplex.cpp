@@ -165,10 +165,7 @@ sim::ReliabilityResult estimate_multiplexed_reliability(
   std::uint64_t failures = 0;
   for (std::uint64_t pass = 0; pass < passes; ++pass) {
     for (std::size_t i = 0; i < golden_inputs.size(); ++i) {
-      const sim::Word w = options.input_one_probability == 0.5
-                              ? rng.next()
-                              : sim::bernoulli_word(
-                                    rng, options.input_one_probability);
+      const sim::Word w = sim::input_word(rng, options.input_one_probability);
       golden_inputs[i] = w;
       // All wires of an input bundle carry the same (error-free) value.
       for (int b = 0; b < mc.bundle_width; ++b) {

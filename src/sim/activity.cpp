@@ -1,6 +1,5 @@
 #include "sim/activity.hpp"
 
-#include <mutex>
 #include <stdexcept>
 
 #include "exec/stream.hpp"
@@ -30,6 +29,14 @@ void finalize_gate_averages(const Circuit& circuit, ActivityResult& result) {
   result.avg_gate_toggle_rate = gates == 0 ? 0.0 : sw_sum / static_cast<double>(gates);
 }
 
+// Validates, then splits sample_pairs into shards of shard_pairs.
+exec::ShardPlan activity_plan(const ActivityOptions& options) {
+  if (options.sample_pairs == 0) {
+    throw std::invalid_argument("estimate_activity: sample_pairs must be > 0");
+  }
+  return exec::ShardPlan(options.sample_pairs, options.shard_pairs);
+}
+
 }  // namespace
 
 void ActivityCounts::merge(const ActivityCounts& other) {
@@ -39,91 +46,71 @@ void ActivityCounts::merge(const ActivityCounts& other) {
   }
 }
 
-void validate_activity_inputs(const ActivityOptions& options) {
-  if (options.sample_pairs == 0) {
-    throw std::invalid_argument("estimate_activity: sample_pairs must be > 0");
+ActivityResult ActivityCounts::result(const Circuit& circuit,
+                                      std::size_t sample_pairs,
+                                      int vectors_per_pair) const {
+  const std::size_t n = circuit.node_count();
+  const double lanes = static_cast<double>(sample_pairs) * kWordBits;
+  ActivityResult result;
+  result.sample_pairs = sample_pairs;
+  result.one_probability.resize(n);
+  result.toggle_rate.resize(n);
+  for (std::size_t id = 0; id < n; ++id) {
+    result.one_probability[id] =
+        static_cast<double>(ones[id]) /
+        (static_cast<double>(vectors_per_pair) * lanes);
+    result.toggle_rate[id] = static_cast<double>(toggles[id]) / lanes;
   }
+  finalize_gate_averages(circuit, result);
+  return result;
 }
 
-exec::ShardPlan activity_shard_plan(const ActivityOptions& options) {
-  return exec::ShardPlan(options.sample_pairs, options.shard_pairs);
-}
+ActivityTasks::ActivityTasks(const Circuit& circuit,
+                             const ActivityOptions& options)
+    : circuit_(circuit),
+      options_(options),
+      plan_(activity_plan(options)),
+      flat_(circuit),
+      counts_(circuit.node_count()) {}
 
-ActivityCounts activity_shard_counts(const FlatCircuit& flat,
-                                     const ActivityOptions& options,
-                                     const exec::Shard& shard) {
-  const std::size_t n = flat.node_count();
-  const double p_in = options.input_one_probability;
-  Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
-  LogicSim sim_a(flat);
-  LogicSim sim_b(flat);
-  std::vector<Word> in_a(flat.num_inputs());
-  std::vector<Word> in_b(flat.num_inputs());
-  ActivityCounts counts(n);
+void ActivityTasks::run_task(std::size_t task) {
+  const exec::Shard shard = plan_.shard(task);
+  const std::size_t n = flat_.node_count();
+  const double p_in = options_.input_one_probability;
+  Xoshiro256 rng(exec::stream_seed(options_.seed, shard.index));
+  LogicSim sim_a(flat_);
+  LogicSim sim_b(flat_);
+  std::vector<Word> in_a(flat_.num_inputs());
+  std::vector<Word> in_b(flat_.num_inputs());
+  ActivityCounts local(n);
 
   for (std::size_t pair = shard.begin; pair < shard.end; ++pair) {
     for (std::size_t i = 0; i < in_a.size(); ++i) {
-      if (p_in == 0.5) {
-        in_a[i] = rng.next();
-        in_b[i] = rng.next();
-      } else {
-        in_a[i] = bernoulli_word(rng, p_in);
-        in_b[i] = bernoulli_word(rng, p_in);
-      }
+      in_a[i] = input_word(rng, p_in);
+      in_b[i] = input_word(rng, p_in);
     }
     sim_a.eval(in_a);
     sim_b.eval(in_b);
     for (std::size_t id = 0; id < n; ++id) {
       const Word a = sim_a.values()[id];
       const Word b = sim_b.values()[id];
-      counts.ones[id] += static_cast<std::uint64_t>(popcount(a));
-      counts.toggles[id] += static_cast<std::uint64_t>(popcount(a ^ b));
+      local.ones[id] += static_cast<std::uint64_t>(popcount(a));
+      local.toggles[id] += static_cast<std::uint64_t>(popcount(a ^ b));
     }
   }
-  return counts;
+  const util::LockGuard lock(mutex_);
+  counts_.merge(local);
 }
 
-ActivityResult finalize_activity(const Circuit& circuit,
-                                 const ActivityOptions& options,
-                                 const ActivityCounts& counts) {
-  const std::size_t n = circuit.node_count();
-  const double lanes =
-      static_cast<double>(options.sample_pairs) * kWordBits;
-  ActivityResult result;
-  result.sample_pairs = options.sample_pairs;
-  result.one_probability.resize(n);
-  result.toggle_rate.resize(n);
-  for (std::size_t id = 0; id < n; ++id) {
-    result.one_probability[id] = static_cast<double>(counts.ones[id]) / lanes;
-    result.toggle_rate[id] = static_cast<double>(counts.toggles[id]) / lanes;
-  }
-  finalize_gate_averages(circuit, result);
-  return result;
+ActivityResult ActivityTasks::finish() {
+  const util::LockGuard lock(mutex_);
+  return counts_.result(circuit_, options_.sample_pairs, 1);
 }
 
 ActivityResult estimate_activity(const Circuit& circuit,
                                  const ActivityOptions& options,
                                  exec::Parallelism how) {
-  validate_activity_inputs(options);
-
-  // Each shard owns a counter-based PRNG stream and local accumulators; the
-  // merge is an integer sum, so the totals are independent of the order in
-  // which shards finish — bit-exact for any thread count.
-  const exec::ShardPlan plan = activity_shard_plan(options);
-  const FlatCircuit flat(circuit);
-  ActivityCounts totals(circuit.node_count());
-  std::mutex merge_mutex;
-  exec::for_each_shard(
-      plan,
-      [&](const exec::Shard& shard) {
-        const ActivityCounts local =
-            activity_shard_counts(flat, options, shard);
-        const std::lock_guard<std::mutex> lock(merge_mutex);
-        totals.merge(local);
-      },
-      how);
-
-  return finalize_activity(circuit, options, totals);
+  return exec::run_tasks(ActivityTasks(circuit, options), how);
 }
 
 ActivityResult exact_activity(const Circuit& circuit) {

@@ -17,6 +17,7 @@
 #include "netlist/circuit.hpp"
 #include "sim/flat_circuit.hpp"
 #include "sim/bitpack.hpp"
+#include "util/sync.hpp"
 
 namespace enb::sim {
 
@@ -45,13 +46,6 @@ struct ActivityOptions {
     const netlist::Circuit& circuit, const ActivityOptions& options = {},
     exec::Parallelism how = {});
 
-// ---- shard-level building blocks -----------------------------------------
-//
-// estimate_activity decomposes into independent shard tasks whose integer
-// accumulators merge by sum; the batch engine (exec/batch.hpp) schedules the
-// same tasks interleaved with other jobs' shards, so a batched activity job
-// is bit-identical to a direct estimator call by construction.
-
 // Per-node integer accumulators of one or more shards; merge by +.
 struct ActivityCounts {
   std::vector<std::uint64_t> ones;     // set lanes per node
@@ -59,27 +53,39 @@ struct ActivityCounts {
   explicit ActivityCounts(std::size_t nodes)
       : ones(nodes, 0), toggles(nodes, 0) {}
   void merge(const ActivityCounts& other);
+  // Rates and gate averages over `sample_pairs` pairs of 64-lane vectors,
+  // where `ones` counted `vectors_per_pair` vectors of each pair.
+  [[nodiscard]] ActivityResult result(const netlist::Circuit& circuit,
+                                      std::size_t sample_pairs,
+                                      int vectors_per_pair) const;
 };
 
-// Throws std::invalid_argument on a zero sample budget — the validation
-// estimate_activity applies before sharding.
-void validate_activity_inputs(const ActivityOptions& options);
+// The estimator as a task set (exec::run_tasks): one task per shard of
+// `shard_pairs` vector pairs. Shard i draws from the counter-based stream of
+// (seed, i) and its per-node counts merge by integer sum, so
+// estimate_activity, a profile extraction and a batched activity job give
+// the same bits for any schedule.
+class ActivityTasks {
+ public:
+  // Throws std::invalid_argument on a zero sample budget. `circuit` must
+  // outlive the task set.
+  ActivityTasks(const netlist::Circuit& circuit,
+                const ActivityOptions& options);
 
-// The pair decomposition implied by `options`: sample_pairs split into
-// shards of shard_pairs.
-[[nodiscard]] exec::ShardPlan activity_shard_plan(
-    const ActivityOptions& options);
+  [[nodiscard]] std::size_t num_tasks() const noexcept {
+    return plan_.num_shards();
+  }
+  void run_task(std::size_t task);
+  [[nodiscard]] ActivityResult finish();
 
-// Counts contributed by one shard of the plan; a pure function of
-// (options.seed, shard.index). Concurrent shards may share `flat`.
-[[nodiscard]] ActivityCounts activity_shard_counts(
-    const FlatCircuit& flat, const ActivityOptions& options,
-    const exec::Shard& shard);
-
-// Turns merged counts into the estimator's result (rates + gate averages).
-[[nodiscard]] ActivityResult finalize_activity(const netlist::Circuit& circuit,
-                                               const ActivityOptions& options,
-                                               const ActivityCounts& counts);
+ private:
+  const netlist::Circuit& circuit_;
+  ActivityOptions options_;
+  exec::ShardPlan plan_;
+  FlatCircuit flat_;  // shared read-only by the tasks
+  util::Mutex mutex_;
+  ActivityCounts counts_ ENB_GUARDED_BY(mutex_);
+};
 
 // Exhaustive (exact) activity for small circuits: one-probabilities from the
 // full truth table, toggle rates via sw = 2 p (1-p) (temporal independence).

@@ -1,7 +1,6 @@
 #include "sim/noise.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -65,88 +64,63 @@ std::vector<Word> NoisySim::output_values() const {
   return out;
 }
 
-ActivityResult estimate_noisy_activity(const Circuit& circuit, double epsilon,
-                                       const ActivityOptions& options,
-                                       exec::Parallelism how) {
+namespace {
+
+// Validates, then splits sample_pairs into shards of shard_pairs.
+exec::ShardPlan noisy_activity_plan(const ActivityOptions& options) {
   if (options.sample_pairs == 0) {
     throw std::invalid_argument(
         "estimate_noisy_activity: sample_pairs must be > 0");
   }
-  const std::size_t n = circuit.node_count();
-  std::vector<std::uint64_t> ones(n, 0);
-  std::vector<std::uint64_t> toggles(n, 0);
+  return exec::ShardPlan(options.sample_pairs, options.shard_pairs);
+}
 
-  // Sharded exactly like estimate_activity: per-shard counter-based streams
-  // (inputs and the shard's private noise source both derive from the shard
-  // stream) plus order-insensitive integer merges keep the estimate
-  // bit-identical across thread counts.
-  const exec::ShardPlan plan(options.sample_pairs, options.shard_pairs);
-  std::mutex merge_mutex;
-  exec::for_each_shard(
-      plan,
-      [&](const exec::Shard& shard) {
-        Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
-        NoisySim sim(circuit, epsilon, rng.next());
-        std::vector<Word> in_a(circuit.num_inputs());
-        std::vector<Word> in_b(circuit.num_inputs());
-        std::vector<Word> first(n);
-        std::vector<std::uint64_t> local_ones(n, 0);
-        std::vector<std::uint64_t> local_toggles(n, 0);
+}  // namespace
 
-        for (std::size_t pair = shard.begin; pair < shard.end; ++pair) {
-          for (Word& w : in_a) {
-            w = options.input_one_probability == 0.5
-                    ? rng.next()
-                    : bernoulli_word(rng, options.input_one_probability);
-          }
-          for (Word& w : in_b) {
-            w = options.input_one_probability == 0.5
-                    ? rng.next()
-                    : bernoulli_word(rng, options.input_one_probability);
-          }
-          sim.eval(in_a);
-          std::copy(sim.values().begin(), sim.values().end(), first.begin());
-          sim.eval(in_b);
-          for (std::size_t id = 0; id < n; ++id) {
-            local_ones[id] +=
-                static_cast<std::uint64_t>(popcount(first[id])) +
-                static_cast<std::uint64_t>(popcount(sim.values()[id]));
-            local_toggles[id] += static_cast<std::uint64_t>(
-                popcount(first[id] ^ sim.values()[id]));
-          }
-        }
+NoisyActivityTasks::NoisyActivityTasks(const Circuit& circuit, double epsilon,
+                                       const ActivityOptions& options)
+    : circuit_(circuit),
+      epsilon_(epsilon),
+      options_(options),
+      plan_(noisy_activity_plan(options)),
+      counts_(circuit.node_count()) {}
 
-        const std::lock_guard<std::mutex> lock(merge_mutex);
-        for (std::size_t id = 0; id < n; ++id) {
-          ones[id] += local_ones[id];
-          toggles[id] += local_toggles[id];
-        }
-      },
-      how);
+void NoisyActivityTasks::run_task(std::size_t task) {
+  const exec::Shard shard = plan_.shard(task);
+  const std::size_t n = circuit_.node_count();
+  Xoshiro256 rng(exec::stream_seed(options_.seed, shard.index));
+  NoisySim sim(circuit_, epsilon_, rng.next());
+  std::vector<Word> in_a(circuit_.num_inputs());
+  std::vector<Word> in_b(circuit_.num_inputs());
+  std::vector<Word> first(n);
+  ActivityCounts local(n);
 
-  const double lanes =
-      static_cast<double>(options.sample_pairs) * kWordBits;
-  ActivityResult result;
-  result.sample_pairs = options.sample_pairs;
-  result.one_probability.resize(circuit.node_count());
-  result.toggle_rate.resize(circuit.node_count());
-  double p_sum = 0.0;
-  double sw_sum = 0.0;
-  std::size_t gates = 0;
-  for (std::size_t id = 0; id < circuit.node_count(); ++id) {
-    result.one_probability[id] =
-        static_cast<double>(ones[id]) / (2.0 * lanes);
-    result.toggle_rate[id] = static_cast<double>(toggles[id]) / lanes;
-    if (!counts_as_gate(circuit.type(id))) continue;
-    p_sum += result.one_probability[id];
-    sw_sum += result.toggle_rate[id];
-    ++gates;
+  for (std::size_t pair = shard.begin; pair < shard.end; ++pair) {
+    for (Word& w : in_a) w = input_word(rng, options_.input_one_probability);
+    for (Word& w : in_b) w = input_word(rng, options_.input_one_probability);
+    sim.eval(in_a);
+    std::copy(sim.values().begin(), sim.values().end(), first.begin());
+    sim.eval(in_b);
+    for (std::size_t id = 0; id < n; ++id) {
+      local.ones[id] += static_cast<std::uint64_t>(popcount(first[id])) +
+                        static_cast<std::uint64_t>(popcount(sim.values()[id]));
+      local.toggles[id] +=
+          static_cast<std::uint64_t>(popcount(first[id] ^ sim.values()[id]));
+    }
   }
-  result.avg_gate_one_probability =
-      gates == 0 ? 0.0 : p_sum / static_cast<double>(gates);
-  result.avg_gate_toggle_rate =
-      gates == 0 ? 0.0 : sw_sum / static_cast<double>(gates);
-  return result;
+  const util::LockGuard lock(mutex_);
+  counts_.merge(local);
+}
+
+ActivityResult NoisyActivityTasks::finish() {
+  const util::LockGuard lock(mutex_);
+  return counts_.result(circuit_, options_.sample_pairs, 2);
+}
+
+ActivityResult estimate_noisy_activity(const Circuit& circuit, double epsilon,
+                                       const ActivityOptions& options,
+                                       exec::Parallelism how) {
+  return exec::run_tasks(NoisyActivityTasks(circuit, epsilon, options), how);
 }
 
 }  // namespace enb::sim

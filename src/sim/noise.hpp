@@ -18,6 +18,7 @@
 #include "sim/bitpack.hpp"
 #include "sim/flat_circuit.hpp"
 #include "sim/prng.hpp"
+#include "util/sync.hpp"
 
 namespace enb::sim {
 
@@ -61,5 +62,32 @@ class NoisySim {
 [[nodiscard]] ActivityResult estimate_noisy_activity(
     const netlist::Circuit& circuit, double epsilon,
     const ActivityOptions& options = {}, exec::Parallelism how = {});
+
+// estimate_noisy_activity as a task set (exec::run_tasks), sharded exactly
+// like ActivityTasks: shard i's inputs and its private noise source both
+// derive from the counter-based stream of (seed, i), and per-node counts
+// merge by integer sum, so the estimate is bit-identical for any schedule.
+class NoisyActivityTasks {
+ public:
+  // Throws std::invalid_argument on a zero sample budget; an epsilon outside
+  // [0, 0.5] throws from the tasks. `circuit` must outlive the task set.
+  NoisyActivityTasks(const netlist::Circuit& circuit, double epsilon,
+                     const ActivityOptions& options);
+
+  [[nodiscard]] std::size_t num_tasks() const noexcept {
+    return plan_.num_shards();
+  }
+  void run_task(std::size_t task);
+  [[nodiscard]] ActivityResult finish();
+
+ private:
+  const netlist::Circuit& circuit_;
+  double epsilon_;
+  ActivityOptions options_;
+  exec::ShardPlan plan_;
+  util::Mutex mutex_;
+  // ones counts both vectors of every pair.
+  ActivityCounts counts_ ENB_GUARDED_BY(mutex_);
+};
 
 }  // namespace enb::sim

@@ -40,4 +40,11 @@ class Xoshiro256 {
 [[nodiscard]] std::uint64_t bernoulli_word(Xoshiro256& rng, double p,
                                            int precision_bits = 32) noexcept;
 
+// The estimators' random input words: Bernoulli(p) bits, drawn as one raw
+// word when p is 0.5 and with bernoulli_word otherwise.
+[[nodiscard]] inline std::uint64_t input_word(Xoshiro256& rng,
+                                              double p) noexcept {
+  return p == 0.5 ? rng.next() : bernoulli_word(rng, p);
+}
+
 }  // namespace enb::sim

@@ -1,6 +1,5 @@
 #include "sim/reliability.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -39,6 +38,52 @@ std::uint64_t worst_case_passes(const WorstCaseOptions& options) {
   return (options.trials_per_input + kWordBits - 1) / kWordBits;
 }
 
+// Validates, then plans the word passes: trials rounded up to 64-trial
+// passes, split into shards of `shard_passes`.
+exec::ShardPlan reliability_plan(const Circuit& noisy, const Circuit& golden,
+                                 const ReliabilityOptions& options) {
+  if (noisy.num_inputs() != golden.num_inputs() ||
+      noisy.num_outputs() != golden.num_outputs()) {
+    throw std::invalid_argument(
+        "estimate_reliability_vs: interface mismatch between noisy and "
+        "golden circuits");
+  }
+  if (options.trials == 0) {
+    throw std::invalid_argument("estimate_reliability: trials must be > 0");
+  }
+  const std::uint64_t passes = (options.trials + kWordBits - 1) / kWordBits;
+  return exec::ShardPlan(static_cast<std::size_t>(passes),
+                         static_cast<std::size_t>(options.shard_passes));
+}
+
+// Validates, then sizes one failure slot per sampled input.
+std::size_t worst_case_samples(const Circuit& noisy, const Circuit& golden,
+                               const WorstCaseOptions& options) {
+  if (noisy.num_inputs() != golden.num_inputs() ||
+      noisy.num_outputs() != golden.num_outputs()) {
+    throw std::invalid_argument(
+        "estimate_worst_case_reliability: interface mismatch");
+  }
+  if (options.num_inputs == 0 || options.trials_per_input == 0) {
+    throw std::invalid_argument(
+        "estimate_worst_case_reliability: counts must be > 0");
+  }
+  return static_cast<std::size_t>(options.num_inputs);
+}
+
+// Failures of the noisy circuit against the golden one over the current
+// input block: lanes where any output differs.
+std::uint64_t output_failures(const Circuit& noisy, const NoisySim& noisy_sim,
+                              const Circuit& golden,
+                              const LogicSim& golden_sim) {
+  Word wrong = 0;
+  for (std::size_t o = 0; o < noisy.num_outputs(); ++o) {
+    wrong |= noisy_sim.value(noisy.outputs()[o]) ^
+             golden_sim.value(golden.outputs()[o]);
+  }
+  return static_cast<std::uint64_t>(popcount(wrong));
+}
+
 }  // namespace
 
 ReliabilityResult wilson_interval(std::uint64_t failures,
@@ -62,51 +107,39 @@ ReliabilityResult wilson_interval(std::uint64_t failures,
   return r;
 }
 
-void validate_reliability_inputs(const Circuit& noisy, const Circuit& golden,
-                                 const ReliabilityOptions& options) {
-  if (noisy.num_inputs() != golden.num_inputs() ||
-      noisy.num_outputs() != golden.num_outputs()) {
-    throw std::invalid_argument(
-        "estimate_reliability_vs: interface mismatch between noisy and "
-        "golden circuits");
-  }
-  if (options.trials == 0) {
-    throw std::invalid_argument("estimate_reliability: trials must be > 0");
-  }
-}
+ReliabilityTasks::ReliabilityTasks(const Circuit& noisy, const Circuit& golden,
+                                   double epsilon,
+                                   const ReliabilityOptions& options)
+    : noisy_(noisy),
+      golden_(golden),
+      epsilon_(epsilon),
+      options_(options),
+      plan_(reliability_plan(noisy, golden, options)) {}
 
-exec::ShardPlan reliability_shard_plan(const ReliabilityOptions& options) {
-  const std::uint64_t passes = (options.trials + kWordBits - 1) / kWordBits;
-  return exec::ShardPlan(static_cast<std::size_t>(passes),
-                         static_cast<std::size_t>(options.shard_passes));
-}
-
-std::uint64_t reliability_shard_failures(const Circuit& noisy,
-                                         const Circuit& golden, double epsilon,
-                                         const ReliabilityOptions& options,
-                                         const exec::Shard& shard) {
-  Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
-  NoisySim noisy_sim(noisy, epsilon, rng.next());
-  LogicSim golden_sim(golden);
-  std::vector<Word> inputs(noisy.num_inputs());
+void ReliabilityTasks::run_task(std::size_t task) {
+  const exec::Shard shard = plan_.shard(task);
+  Xoshiro256 rng(exec::stream_seed(options_.seed, shard.index));
+  NoisySim noisy_sim(noisy_, epsilon_, rng.next());
+  LogicSim golden_sim(golden_);
+  std::vector<Word> inputs(noisy_.num_inputs());
 
   std::uint64_t failures = 0;
   for (std::size_t pass = shard.begin; pass < shard.end; ++pass) {
     for (Word& w : inputs) {
-      w = options.input_one_probability == 0.5
-              ? rng.next()
-              : bernoulli_word(rng, options.input_one_probability);
+      w = input_word(rng, options_.input_one_probability);
     }
     noisy_sim.eval(inputs);
     golden_sim.eval(inputs);
-    Word wrong = 0;
-    for (std::size_t o = 0; o < noisy.num_outputs(); ++o) {
-      wrong |= noisy_sim.value(noisy.outputs()[o]) ^
-               golden_sim.value(golden.outputs()[o]);
-    }
-    failures += static_cast<std::uint64_t>(popcount(wrong));
+    failures += output_failures(noisy_, noisy_sim, golden_, golden_sim);
   }
-  return failures;
+  failures_.fetch_add(failures, std::memory_order_relaxed);
+}
+
+ReliabilityResult ReliabilityTasks::finish() const {
+  ReliabilityResult result =
+      wilson_interval(failures_.load(), plan_.total() * kWordBits);
+  result.requested_trials = options_.trials;
+  return result;
 }
 
 ReliabilityResult estimate_reliability_vs(const Circuit& noisy,
@@ -114,25 +147,8 @@ ReliabilityResult estimate_reliability_vs(const Circuit& noisy,
                                           double epsilon,
                                           const ReliabilityOptions& options,
                                           exec::Parallelism how) {
-  validate_reliability_inputs(noisy, golden, options);
-
-  // Sharded over word passes: shard i's inputs and fault injections derive
-  // from the counter-based stream of (seed, i), and failures combine through
-  // an order-insensitive integer sum — bit-identical for any thread count.
-  const exec::ShardPlan plan = reliability_shard_plan(options);
-  std::atomic<std::uint64_t> failures{0};
-  exec::for_each_shard(
-      plan,
-      [&](const exec::Shard& shard) {
-        failures.fetch_add(
-            reliability_shard_failures(noisy, golden, epsilon, options, shard),
-            std::memory_order_relaxed);
-      },
-      how);
-  ReliabilityResult result =
-      wilson_interval(failures.load(), plan.total() * kWordBits);
-  result.requested_trials = options.trials;
-  return result;
+  return exec::run_tasks(ReliabilityTasks(noisy, golden, epsilon, options),
+                         how);
 }
 
 ReliabilityResult estimate_reliability(const Circuit& circuit, double epsilon,
@@ -141,89 +157,57 @@ ReliabilityResult estimate_reliability(const Circuit& circuit, double epsilon,
   return estimate_reliability_vs(circuit, circuit, epsilon, options, how);
 }
 
-void validate_worst_case_inputs(const Circuit& noisy, const Circuit& golden,
-                                const WorstCaseOptions& options) {
-  if (noisy.num_inputs() != golden.num_inputs() ||
-      noisy.num_outputs() != golden.num_outputs()) {
-    throw std::invalid_argument(
-        "estimate_worst_case_reliability: interface mismatch");
-  }
-  if (options.num_inputs == 0 || options.trials_per_input == 0) {
-    throw std::invalid_argument(
-        "estimate_worst_case_reliability: counts must be > 0");
-  }
-}
+WorstCaseTasks::WorstCaseTasks(const Circuit& noisy, const Circuit& golden,
+                               double epsilon, const WorstCaseOptions& options)
+    : noisy_(noisy),
+      golden_(golden),
+      epsilon_(epsilon),
+      options_(options),
+      sample_failures_(worst_case_samples(noisy, golden, options), 0) {}
 
-std::uint64_t worst_case_sample_failures(const Circuit& noisy,
-                                         const Circuit& golden, double epsilon,
-                                         const WorstCaseOptions& options,
-                                         std::size_t sample) {
-  std::vector<Word> inputs(noisy.num_inputs());
+void WorstCaseTasks::run_task(std::size_t sample) {
+  std::vector<Word> inputs(noisy_.num_inputs());
   const std::uint64_t noise_seed =
-      worst_case_sample_assignment(noisy, options, sample, &inputs).second;
-  NoisySim noisy_sim(noisy, epsilon, noise_seed);
-  LogicSim golden_sim(golden);
+      worst_case_sample_assignment(noisy_, options_, sample, &inputs).second;
+  NoisySim noisy_sim(noisy_, epsilon_, noise_seed);
+  LogicSim golden_sim(golden_);
   golden_sim.eval(inputs);
   std::uint64_t failures = 0;
-  const std::uint64_t passes = worst_case_passes(options);
+  const std::uint64_t passes = worst_case_passes(options_);
   for (std::uint64_t pass = 0; pass < passes; ++pass) {
     noisy_sim.eval(inputs);
-    Word wrong = 0;
-    for (std::size_t o = 0; o < noisy.num_outputs(); ++o) {
-      wrong |= noisy_sim.value(noisy.outputs()[o]) ^
-               golden_sim.value(golden.outputs()[o]);
-    }
-    failures += static_cast<std::uint64_t>(popcount(wrong));
+    failures += output_failures(noisy_, noisy_sim, golden_, golden_sim);
   }
-  return failures;
+  sample_failures_[sample] = failures;
 }
 
-WorstCaseResult finalize_worst_case(
-    const Circuit& noisy, const WorstCaseOptions& options,
-    const std::vector<std::uint64_t>& sample_failures) {
-  const std::uint64_t executed = worst_case_passes(options) * kWordBits;
+WorstCaseResult WorstCaseTasks::finish() const {
+  const std::uint64_t executed = worst_case_passes(options_) * kWordBits;
   WorstCaseResult result;
   std::uint64_t worst_failures = 0;
   std::size_t worst_sample = 0;
   double delta_sum = 0.0;
-  for (std::size_t sample = 0; sample < sample_failures.size(); ++sample) {
-    delta_sum += static_cast<double>(sample_failures[sample]) /
+  for (std::size_t sample = 0; sample < sample_failures_.size(); ++sample) {
+    delta_sum += static_cast<double>(sample_failures_[sample]) /
                  static_cast<double>(executed);
-    if (sample_failures[sample] >= worst_failures) {
-      worst_failures = sample_failures[sample];
+    if (sample_failures_[sample] >= worst_failures) {
+      worst_failures = sample_failures_[sample];
       worst_sample = sample;
     }
   }
   result.worst_input =
-      worst_case_sample_assignment(noisy, options, worst_sample, nullptr)
+      worst_case_sample_assignment(noisy_, options_, worst_sample, nullptr)
           .first;
   result.worst = wilson_interval(worst_failures, executed);
-  result.worst.requested_trials = options.trials_per_input;
-  result.average_delta = delta_sum / static_cast<double>(options.num_inputs);
+  result.worst.requested_trials = options_.trials_per_input;
+  result.average_delta = delta_sum / static_cast<double>(options_.num_inputs);
   return result;
 }
 
 WorstCaseResult estimate_worst_case_reliability(
     const Circuit& noisy, const Circuit& golden, double epsilon,
     const WorstCaseOptions& options, exec::Parallelism how) {
-  validate_worst_case_inputs(noisy, golden, options);
-
-  // Every sampled input is an independent experiment with its own
-  // counter-based stream, so samples parallelize freely; the per-sample
-  // failure counts land in slots indexed by sample and the argmax/average
-  // reduction runs serially in sample order — the result cannot depend on
-  // the thread count.
-  const std::size_t num_samples =
-      static_cast<std::size_t>(options.num_inputs);
-  std::vector<std::uint64_t> sample_failures(num_samples, 0);
-  exec::for_each_index(
-      num_samples,
-      [&](std::size_t sample) {
-        sample_failures[sample] =
-            worst_case_sample_failures(noisy, golden, epsilon, options, sample);
-      },
-      how);
-  return finalize_worst_case(noisy, options, sample_failures);
+  return exec::run_tasks(WorstCaseTasks(noisy, golden, epsilon, options), how);
 }
 
 }  // namespace enb::sim

@@ -8,7 +8,9 @@
 // interval.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "exec/stream.hpp"
 #include "exec/thread_pool.hpp"
@@ -46,32 +48,35 @@ struct ReliabilityOptions {
 [[nodiscard]] ReliabilityResult wilson_interval(std::uint64_t failures,
                                                 std::uint64_t trials);
 
-// ---- shard-level building blocks -----------------------------------------
-//
-// estimate_reliability_vs decomposes into independent shard tasks; the batch
-// engine (exec/batch.hpp) schedules the same tasks interleaved with other
-// jobs' shards. Because the estimator is *defined* as the sum of these shard
-// bodies, a batched job is bit-identical to a direct estimator call by
-// construction.
+// The estimator as a task set (exec::run_tasks): one task per shard of the
+// word-pass plan (trials rounded up to 64-trial passes, in shards of
+// `shard_passes`). Shard i draws its inputs and its private fault-injection
+// stream from the counter-based stream of (seed, i), and failures merge by
+// integer sum. estimate_reliability_vs runs it, and the batch engine
+// (exec/batch.hpp) schedules the same tasks interleaved with other jobs', so
+// a batched job is bit-identical to a direct call by construction.
+class ReliabilityTasks {
+ public:
+  // Throws std::invalid_argument on an interface mismatch or a zero trial
+  // budget. Both circuits must outlive the task set.
+  ReliabilityTasks(const netlist::Circuit& noisy,
+                   const netlist::Circuit& golden, double epsilon,
+                   const ReliabilityOptions& options);
 
-// Throws std::invalid_argument on interface mismatch or a zero trial budget —
-// the validation estimate_reliability_vs applies before sharding.
-void validate_reliability_inputs(const netlist::Circuit& noisy,
-                                 const netlist::Circuit& golden,
-                                 const ReliabilityOptions& options);
+  [[nodiscard]] std::size_t num_tasks() const noexcept {
+    return plan_.num_shards();
+  }
+  void run_task(std::size_t task);
+  [[nodiscard]] ReliabilityResult finish() const;
 
-// The word-pass decomposition implied by `options`: trials rounded up to
-// 64-trial passes, split into shards of `shard_passes`.
-[[nodiscard]] exec::ShardPlan reliability_shard_plan(
-    const ReliabilityOptions& options);
-
-// Failures contributed by one shard of the plan. A pure function of
-// (options.seed, shard.index); callers combine shards by integer sum.
-// Precondition: inputs validated (see validate_reliability_inputs).
-[[nodiscard]] std::uint64_t reliability_shard_failures(
-    const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const ReliabilityOptions& options,
-    const exec::Shard& shard);
+ private:
+  const netlist::Circuit& noisy_;
+  const netlist::Circuit& golden_;
+  double epsilon_;
+  ReliabilityOptions options_;
+  exec::ShardPlan plan_;
+  std::atomic<std::uint64_t> failures_{0};
+};
 
 // Estimates δ for `circuit` with every gate failing independently with
 // probability `epsilon`, parallelized per `how`.
@@ -114,25 +119,29 @@ struct WorstCaseResult {
     double epsilon, const WorstCaseOptions& options = {},
     exec::Parallelism how = {});
 
-// Shard-level building blocks of the worst-case estimator (see the
-// reliability block above for the contract). Throws like
-// estimate_worst_case_reliability on invalid inputs.
-void validate_worst_case_inputs(const netlist::Circuit& noisy,
-                                const netlist::Circuit& golden,
-                                const WorstCaseOptions& options);
+// The worst-case estimator as a task set: one task per sampled input, each
+// writing its failure count into the sample's own slot; finish() reduces the
+// slots serially in sample order (argmax, average, and the argmax assignment
+// re-derived from its stream).
+class WorstCaseTasks {
+ public:
+  // Throws like estimate_worst_case_reliability on invalid inputs. Both
+  // circuits must outlive the task set.
+  WorstCaseTasks(const netlist::Circuit& noisy, const netlist::Circuit& golden,
+                 double epsilon, const WorstCaseOptions& options);
 
-// Failures of sampled input `sample` (an independent experiment with its own
-// counter-based stream of (options.seed, sample)) across
-// options.trials_per_input noise draws (rounded up to 64-trial passes).
-[[nodiscard]] std::uint64_t worst_case_sample_failures(
-    const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const WorstCaseOptions& options, std::size_t sample);
+  [[nodiscard]] std::size_t num_tasks() const noexcept {
+    return sample_failures_.size();
+  }
+  void run_task(std::size_t sample);
+  [[nodiscard]] WorstCaseResult finish() const;
 
-// Serial reduction over per-sample failure counts: argmax, average, and the
-// argmax assignment re-derived from its stream. sample_failures[i] must be
-// worst_case_sample_failures(..., i) for every i in [0, options.num_inputs).
-[[nodiscard]] WorstCaseResult finalize_worst_case(
-    const netlist::Circuit& noisy, const WorstCaseOptions& options,
-    const std::vector<std::uint64_t>& sample_failures);
+ private:
+  const netlist::Circuit& noisy_;
+  const netlist::Circuit& golden_;
+  double epsilon_;
+  WorstCaseOptions options_;
+  std::vector<std::uint64_t> sample_failures_;  // one slot per sample
+};
 
 }  // namespace enb::sim

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
+#include <stdexcept>
 #include <utility>
 
 #include "exec/thread_pool.hpp"
@@ -123,6 +123,16 @@ class ShardState {
   std::uint64_t gate_evals_ = 0;
 };
 
+// Validates, then plans the shards.
+exec::ShardPlan validated_plan(const Circuit& circuit,
+                               const SensitivityOptions& options) {
+  if (!sensitivity_is_exact(circuit, options) && options.sample_words == 0) {
+    throw std::invalid_argument(
+        "compute_sensitivity: sample_words must be > 0 for the sampled sweep");
+  }
+  return sensitivity_shard_plan(circuit, options);
+}
+
 obs::Counter& gate_evals_counter() {
   static obs::Counter& counter =
       obs::Registry::global().counter("sim-sensitivity-gate-evals-total");
@@ -142,14 +152,6 @@ void SensitivityCounts::merge(const SensitivityCounts& other) {
 bool sensitivity_is_exact(const Circuit& circuit,
                           const SensitivityOptions& options) {
   return is_exact(circuit.num_inputs(), circuit.num_outputs(), options);
-}
-
-void validate_sensitivity_inputs(const Circuit& circuit,
-                                 const SensitivityOptions& options) {
-  if (!sensitivity_is_exact(circuit, options) && options.sample_words == 0) {
-    throw std::invalid_argument(
-        "compute_sensitivity: sample_words must be > 0 for the sampled sweep");
-  }
 }
 
 exec::ShardPlan sensitivity_shard_plan(const Circuit& circuit,
@@ -212,30 +214,30 @@ SensitivityResult finalize_sensitivity(const Circuit& circuit,
   return result;
 }
 
+SensitivityTasks::SensitivityTasks(const Circuit& circuit,
+                                   const SensitivityOptions& options)
+    : circuit_(circuit),
+      options_(options),
+      plan_(validated_plan(circuit, options)),
+      flat_(circuit),
+      counts_(circuit.num_inputs()) {}
+
+void SensitivityTasks::run_task(std::size_t task) {
+  const SensitivityCounts local =
+      sensitivity_shard_counts(flat_, options_, plan_.shard(task));
+  const util::LockGuard lock(mutex_);
+  counts_.merge(local);
+}
+
+SensitivityResult SensitivityTasks::finish() {
+  const util::LockGuard lock(mutex_);
+  return finalize_sensitivity(circuit_, options_, counts_);
+}
+
 SensitivityResult compute_sensitivity(const Circuit& circuit,
                                       const SensitivityOptions& options,
                                       exec::Parallelism how) {
-  validate_sensitivity_inputs(circuit, options);
-  const std::size_t n = circuit.num_inputs();
-  SensitivityCounts totals(n);
-  if (!degenerate(n, circuit.num_outputs())) {
-    // Shards merge by sum (influence, lane totals) and max (sensitivity), so
-    // the sweep is thread-count independent for both the exact enumeration
-    // (no randomness at all) and the sampled one (counter-based streams).
-    const exec::ShardPlan plan = sensitivity_shard_plan(circuit, options);
-    const FlatCircuit flat(circuit);
-    std::mutex merge_mutex;
-    exec::for_each_shard(
-        plan,
-        [&](const exec::Shard& shard) {
-          const SensitivityCounts local =
-              sensitivity_shard_counts(flat, options, shard);
-          const std::lock_guard<std::mutex> lock(merge_mutex);
-          totals.merge(local);
-        },
-        how);
-  }
-  return finalize_sensitivity(circuit, options, totals);
+  return exec::run_tasks(SensitivityTasks(circuit, options), how);
 }
 
 }  // namespace enb::sim

@@ -28,6 +28,7 @@
 #include "exec/thread_pool.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/flat_circuit.hpp"
+#include "util/sync.hpp"
 
 namespace enb::sim {
 
@@ -56,11 +57,9 @@ struct SensitivityOptions {
 
 // ---- shard-level building blocks -----------------------------------------
 //
-// compute_sensitivity decomposes into independent shard tasks (exhaustive
-// block ranges when exact, sampled word ranges otherwise); the batch engine
-// (exec/batch.hpp) schedules the same tasks interleaved with other jobs'
-// shards, so a batched sensitivity job is bit-identical to a direct call by
-// construction.
+// compute_sensitivity is exec::run_tasks over a SensitivityTasks, whose tasks
+// are these shard bodies (exhaustive block ranges when exact, sampled word
+// ranges otherwise); the shard oracle tests check them one by one.
 
 // Accumulators of one or more shards; influence and lane totals merge by
 // sum, sensitivity by max.
@@ -76,11 +75,6 @@ struct SensitivityCounts {
 // True when `options` selects the exhaustive (exact) sweep for `circuit`.
 [[nodiscard]] bool sensitivity_is_exact(const netlist::Circuit& circuit,
                                         const SensitivityOptions& options);
-
-// Throws std::invalid_argument when the sampled sweep is selected with a
-// zero sample budget (which would otherwise divide 0/0 into NaN influence).
-void validate_sensitivity_inputs(const netlist::Circuit& circuit,
-                                 const SensitivityOptions& options);
 
 // The shard decomposition implied by `options`: exhaustive blocks (exact) or
 // sample words (sampled), in groups of shard_words. Degenerate circuits
@@ -102,5 +96,31 @@ void validate_sensitivity_inputs(const netlist::Circuit& circuit,
 [[nodiscard]] SensitivityResult finalize_sensitivity(
     const netlist::Circuit& circuit, const SensitivityOptions& options,
     const SensitivityCounts& counts);
+
+// The sweep as a task set (exec::run_tasks): one task per shard of
+// sensitivity_shard_plan, counts merged under the set's lock. Used by
+// compute_sensitivity, profile extraction and the batch engine alike.
+class SensitivityTasks {
+ public:
+  // Throws std::invalid_argument when the sampled sweep is selected with a
+  // zero sample budget (which would otherwise divide 0/0 into NaN
+  // influence). `circuit` must outlive the task set.
+  SensitivityTasks(const netlist::Circuit& circuit,
+                   const SensitivityOptions& options);
+
+  [[nodiscard]] std::size_t num_tasks() const noexcept {
+    return plan_.num_shards();
+  }
+  void run_task(std::size_t task);
+  [[nodiscard]] SensitivityResult finish();
+
+ private:
+  const netlist::Circuit& circuit_;
+  SensitivityOptions options_;
+  exec::ShardPlan plan_;
+  FlatCircuit flat_;  // shared read-only by the tasks
+  util::Mutex mutex_;
+  SensitivityCounts counts_ ENB_GUARDED_BY(mutex_);
+};
 
 }  // namespace enb::sim

@@ -7,8 +7,7 @@
 // bit-identical per-request results for threads in {1, 0 (global pool), 64
 // (oversubscribed dedicated pool)} and for shuffled submission order — and
 // every batched result equals the standalone estimator run with the same
-// options, because the batch schedules the estimators' own shard-level
-// building blocks.
+// options, because the batch runs the estimators' own task sets.
 #include "exec/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -632,23 +631,23 @@ struct RejectedLine {
 };
 constexpr RejectedLine kRejectedLines[] = {
     {"j kind=reliability circuit=c17 mode=random",
-     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+     "manifest line 1: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
     {"j kind=lint circuit=c17 drop=1",
-     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+     "manifest line 1: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
     {"j kind=cec circuit=c17 lanes=64",
-     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+     "manifest line 1: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
     {"j kind=profile circuit=c17 sample=3",
-     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+     "manifest line 1: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
     {"j kind=activity circuit=c17 prune=0",
-     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+     "manifest line 1: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
     {"j kind=fault-campaign circuit=c17 style=tmr",
-     "manifest: keys 'style', 'granularity', and 'top_k' only apply to kind=harden"},
+     "manifest line 1: keys 'style', 'granularity', and 'top_k' only apply to kind=harden"},
     {"j kind=reliability circuit=c17 granularity=gate",
-     "manifest: keys 'style', 'granularity', and 'top_k' only apply to kind=harden"},
+     "manifest line 1: keys 'style', 'granularity', and 'top_k' only apply to kind=harden"},
     {"j kind=energy-bound circuit=c17 top_k=2",
-     "manifest: keys 'style', 'granularity', and 'top_k' only apply to kind=harden"},
+     "manifest line 1: keys 'style', 'granularity', and 'top_k' only apply to kind=harden"},
     {"j kind=reliability circuit=c17 top_k=2 mode=random",
-     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+     "manifest line 1: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
     {"j kind=fault-campaign circuit=c17 drop=2",
      "manifest line 1: drop must be 0 or 1"},
     {"j kind=fault-campaign circuit=c17 lanes=96",
@@ -656,21 +655,21 @@ constexpr RejectedLine kRejectedLines[] = {
     {"j kind=fault-campaign circuit=c17 prune=2",
      "manifest line 1: prune must be 0 or 1"},
     {"j kind=fault-campaign circuit=c17 mode=x",
-     "manifest: mode must be 'random' or 'exhaustive', got 'x'"},
+     "manifest line 1: mode must be 'random' or 'exhaustive', got 'x'"},
     {"j kind=harden circuit=c17 mode=x",
-     "manifest: mode must be 'random' or 'exhaustive', got 'x'"},
+     "manifest line 1: mode must be 'random' or 'exhaustive', got 'x'"},
     {"j kind=harden circuit=c17 style=x",
      "manifest line 1: style must be tmr, dwc, or selective"},
     {"j kind=harden circuit=c17 granularity=x",
      "manifest line 1: granularity must be gate, cone, or output"},
     {"j kind=harden circuit=c17 top_k=x",
-     "manifest: value for key 'top_k' must be a non-negative integer, got 'x'"},
+     "manifest line 1: value for key 'top_k' must be a non-negative integer, got 'x'"},
     {"j kind=fault-campaign circuit=c17 sample=-1",
-     "manifest: value for key 'sample' must be a non-negative integer, got '-1'"},
+     "manifest line 1: value for key 'sample' must be a non-negative integer, got '-1'"},
     {"j kind=reliability circuit=c17 drop=2",
      "manifest line 1: drop must be 0 or 1"},
     {"j kind=lint circuit=c17 mode=x",
-     "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+     "manifest line 1: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
     {"j kind=bogus circuit=c17",
      "manifest line 1: unknown kind 'bogus'"},
     {"j circuit=c17",
@@ -678,17 +677,17 @@ constexpr RejectedLine kRejectedLines[] = {
     {"j kind=reliability",
      "manifest line 1: missing circuit="},
     {"j kind=reliability circuit=c17 eps=abc",
-     "manifest: non-numeric value 'abc' for key 'eps'"},
+     "manifest line 1: non-numeric value 'abc' for key 'eps'"},
     {"j kind=reliability circuit=c17 leakage=x",
-     "manifest: non-numeric value 'x' for key 'leakage'"},
+     "manifest line 1: non-numeric value 'x' for key 'leakage'"},
     {"j kind=reliability circuit=c17 budget=12x",
-     "manifest: value for key 'budget' must be a non-negative integer, got '12x'"},
+     "manifest line 1: value for key 'budget' must be a non-negative integer, got '12x'"},
     // std::stoull would wrap "-1" to 2^64-1, whose rounded-up pass count
     // overflows to zero — a silent empty job reporting ok.
     {"j kind=reliability circuit=c17 budget=-1",
-     "manifest: value for key 'budget' must be a non-negative integer, got '-1'"},
+     "manifest line 1: value for key 'budget' must be a non-negative integer, got '-1'"},
     {"j kind=reliability circuit=c17 seed=-7",
-     "manifest: value for key 'seed' must be a non-negative integer, got '-7'"},
+     "manifest line 1: value for key 'seed' must be a non-negative integer, got '-7'"},
     {"j kind=reliability circuit=c17 frobnicate=1",
      "manifest line 1: unknown key 'frobnicate'"},
     {"j kind=reliability circuit=c17 noequals",
@@ -697,6 +696,10 @@ constexpr RejectedLine kRejectedLines[] = {
      "manifest line 1: expected key=value, got 'eps='"},
     {"a kind=lint circuit=c17 drop=1\nb kind=fault-campaign circuit=c17 drop=5",
      "manifest line 2: drop must be 0 or 1"},
+    {"a kind=lint circuit=c17\nb kind=lint circuit=c17 drop=1",
+     "manifest line 2: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only apply to kind=fault-campaign and kind=harden"},
+    {"a kind=lint circuit=c17\nb kind=reliability circuit=c17 eps=0.o1",
+     "manifest line 2: non-numeric value '0.o1' for key 'eps'"},
 };
 
 TEST(Manifest, RejectsMalformedLines) {

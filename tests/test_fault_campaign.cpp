@@ -269,8 +269,7 @@ TEST(FaultCampaign, DetectionTableAgreesWithAggregateCounts) {
   EXPECT_EQ(serial_table.passes, wide_table.passes);
 
   const FaultCampaignResult via_table = finalize_campaign(
-      circuit, circuit, universe, options,
-      counts_from_table(universe, serial_table));
+      circuit, circuit, universe, options, serial_table.counts);
   const FaultCampaignResult direct = run_campaign(circuit, nullptr, options);
   EXPECT_EQ(via_table, direct);
 }

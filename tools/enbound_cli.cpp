@@ -462,7 +462,6 @@ int cmd_faultsim(const Args& args) {
   const netlist::Circuit& circuit = compiled.circuit();
   const netlist::Circuit& reference =
       golden.has_value() ? golden->circuit() : circuit;
-  fault::validate_campaign_inputs(circuit, reference, options);
   const exec::Parallelism how{args.threads};
   // The summary always comes from the aggregate campaign, so it reflects
   // the requested dropping/sampling/lane policy. The row-level consumers
