@@ -27,7 +27,11 @@
 //       MAJ(r, r, x) = r. Two cones with equal ids compute the same
 //       function; hashing two circuits into one hasher makes the ids
 //       comparable across circuits, which is how CEC discharges
-//       TMR'd / strash-rewritten variants without touching a BDD.
+//       TMR'd / strash-rewritten variants without touching a BDD. Every
+//       rewrite is an identity of Boolean functions, so under fault-free
+//       simulation nets with equal ids (hashed without `constants`) carry
+//       equal words for equal input words, in any of the hashed circuits;
+//       core::ProfileExtraction simulates one net per id on that basis.
 //
 //   check_equivalence  — three-stage CEC: (1) 64-bit random-simulation
 //       signatures refute inequivalent output pairs almost instantly and

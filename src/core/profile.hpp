@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "exec/thread_pool.hpp"
 #include "netlist/circuit.hpp"
@@ -48,24 +49,45 @@ struct ProfileOptions {
 };
 
 // Measures a profile from a (typically mapped) netlist, parallelizing the
-// Monte-Carlo substrates per `how`: exec::run_tasks over a
+// Monte-Carlo substrates per `how`: exec::run_tasks over a one-circuit
 // ProfileExtraction. Results are bit-identical for any thread count.
 [[nodiscard]] CircuitProfile extract_profile(const netlist::Circuit& circuit,
                                              const ProfileOptions& options = {},
                                              exec::Parallelism how = {});
 
-// One profile extraction as a task set (exec::run_tasks): either one
-// exact-activity task (BDD, with a silent serial Monte-Carlo fallback when
-// the BDD blows up) or the tasks of a sim::ActivityTasks, followed by the
-// tasks of a sim::SensitivityTasks. Those merge commutatively, so any
+// Throws std::invalid_argument exactly when extract_profile rejects
+// `circuit` under `options`: a gateless circuit, or a zero Monte-Carlo
+// budget on the route the circuit takes.
+void check_profilable(const netlist::Circuit& circuit,
+                      const ProfileOptions& options);
+
+// Profile extraction for one or more circuits with the same input count, as
+// a task set (exec::run_tasks). The circuits are hashed into one
+// analysis::StructuralHasher, and a union netlist gets one node per class
+// some circuit node carries, evaluated with the first carrier's gate type
+// over the union nodes of its fanins' classes. Equal classes carry equal
+// words for equal input words, and the Monte-Carlo and exhaustive input
+// streams depend only on (seed, shard, input count), so one
+// sim::ActivityTasks and one sim::SensitivityTasks over the union serve
+// every member:
+//   - a member's per-node activity counts are the union counts of its
+//     nodes' classes, finalized in its own node order;
+//   - a member's flip difference is the OR of the change words of its
+//     non-constant output classes (members with the same set share one
+//     output group); members without inputs or outputs finalize alone.
+// On the exact route (inputs <= exact_activity_max_inputs) each member
+// keeps its own BDD activity task, with a silent serial Monte-Carlo
+// fallback when its BDD blows up. Every task merges commutatively, so any
 // schedule — serial, a pool, or interleaved with other jobs' tasks in
-// exec::BatchEvaluator — yields the same profile bits.
+// exec::BatchEvaluator — yields each member the bits extract_profile gives
+// it alone.
 class ProfileExtraction {
  public:
-  // Validates like extract_profile (std::invalid_argument on a gateless
-  // circuit or an invalid Monte-Carlo budget) and plans the tasks. `circuit`
-  // must outlive the extraction.
-  ProfileExtraction(const netlist::Circuit& circuit,
+  // Validates every member like check_profilable (and throws
+  // std::invalid_argument on no members or unequal input counts), then
+  // builds the union and plans the tasks. The circuits must outlive the
+  // extraction.
+  ProfileExtraction(std::vector<const netlist::Circuit*> circuits,
                     const ProfileOptions& options);
 
   [[nodiscard]] std::size_t num_tasks() const noexcept {
@@ -76,22 +98,44 @@ class ProfileExtraction {
   // distinct tasks.
   void run_task(std::size_t task);
 
-  // Assembles the profile once every task has run.
-  [[nodiscard]] CircuitProfile finish();
+  // The members' profiles, in member order, once every task has run.
+  [[nodiscard]] std::vector<CircuitProfile> finish();
 
- private:
-  [[nodiscard]] std::size_t activity_tasks() const noexcept {
-    return activity_.has_value() ? activity_->num_tasks() : 1;
+  // Nodes of the union netlist (for tests and traces).
+  [[nodiscard]] std::size_t union_nodes() const noexcept {
+    return union_.circuit.node_count();
   }
 
-  const netlist::Circuit& circuit_;
+ private:
+  // The members' union netlist: one node per structural class.
+  struct Union {
+    netlist::Circuit circuit;
+    // Per member: the union node of each of its nodes.
+    std::vector<std::vector<netlist::NodeId>> node_of;
+    // Distinct sets of non-constant output classes, as union nodes.
+    std::vector<std::vector<netlist::NodeId>> groups;
+    // Per member: its output group, or kNoGroup without inputs or outputs.
+    std::vector<std::size_t> group_of;
+  };
+  static constexpr std::size_t kNoGroup = ~std::size_t{0};
+
+  static Union build_union(const std::vector<const netlist::Circuit*>& members);
+
+  [[nodiscard]] std::size_t activity_tasks() const noexcept {
+    return activity_.has_value() ? activity_->num_tasks() : members_.size();
+  }
+
+  std::vector<const netlist::Circuit*> members_;
   sim::ActivityOptions activity_options_;
-  // Monte-Carlo activity; nullopt selects the one exact (BDD) task.
+  sim::SensitivityOptions sensitivity_options_;
+  Union union_;
+  // Monte-Carlo activity over the union; nullopt selects one exact (BDD)
+  // task per member.
   std::optional<sim::ActivityTasks> activity_;
   sim::SensitivityTasks sensitivity_;
 
-  util::Mutex mutex_;  // guards the exact task's result
-  std::optional<double> exact_sw0_ ENB_GUARDED_BY(mutex_);
+  util::Mutex mutex_;  // guards the exact tasks' results
+  std::vector<double> exact_sw0_ ENB_GUARDED_BY(mutex_);
 };
 
 // A profile from explicit numbers (e.g. the paper's s=10, S0=21 parity).

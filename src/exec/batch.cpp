@@ -62,25 +62,30 @@ TaskSet one_task(Compute compute) {
           [payload] { return std::move(*payload); }};
 }
 
-// One profile extraction shared by every request in the batch that names the
-// same (handle, profile options): its tasks enter the flat task space once,
-// and finish() also lands the profile in the handle's cache.
+// One profile extraction shared by every request in the batch whose profile
+// is not cached and that has the same (profile options, input count): its
+// members are the distinct handles those requests name, and its tasks enter
+// the flat task space once. finish() lands each member's profile in its
+// handle's cache.
 class SharedExtraction {
  public:
-  // Validates exactly like core::extract_profile.
-  SharedExtraction(CompiledCircuit handle, const core::ProfileOptions& options)
-      : handle_(std::move(handle)),
+  // The members are validated (core::check_profilable) at prepare time.
+  SharedExtraction(std::vector<CompiledCircuit> members,
+                   const core::ProfileOptions& options)
+      : members_(std::move(members)),
         options_(options),
-        extraction_(handle_.circuit(), options_) {}
+        extraction_(circuits_of(members_), options_) {}
 
   [[nodiscard]] std::size_t num_tasks() const noexcept {
     return extraction_.num_tasks();
   }
   void run_task(std::size_t task) { extraction_.run_task(task); }
 
-  [[nodiscard]] core::CircuitProfile finish() {
-    core::CircuitProfile profile = extraction_.finish();
-    handle_.store_profile(options_, profile);
+  [[nodiscard]] std::vector<core::CircuitProfile> finish() {
+    std::vector<core::CircuitProfile> profiles = extraction_.finish();
+    for (std::size_t m = 0; m < members_.size(); ++m) {
+      members_[m].store_profile(options_, profiles[m]);
+    }
     const auto end = std::chrono::steady_clock::now();
     static obs::Histogram& seconds =
         obs::Registry::global().histogram("analysis-extraction-seconds");
@@ -89,13 +94,26 @@ class SharedExtraction {
     if (recorder.enabled()) {
       recorder.record("profile-extraction",
                       obs::SpanHandle{recorder.new_id()}, obs::SpanHandle{},
-                      started_, end, handle_.name());
+                      started_, end,
+                      "members=" + std::to_string(members_.size()) +
+                          " union_nodes=" +
+                          std::to_string(extraction_.union_nodes()));
     }
-    return profile;
+    return profiles;
   }
 
  private:
-  CompiledCircuit handle_;
+  static std::vector<const Circuit*> circuits_of(
+      const std::vector<CompiledCircuit>& members) {
+    std::vector<const Circuit*> circuits;
+    circuits.reserve(members.size());
+    for (const CompiledCircuit& member : members) {
+      circuits.push_back(&member.circuit());
+    }
+    return circuits;
+  }
+
+  std::vector<CompiledCircuit> members_;
   core::ProfileOptions options_;
   core::ProfileExtraction extraction_;
   // Stamped at creation, so the extraction histogram and trace span cover
@@ -115,7 +133,10 @@ struct Unit {
   const AnalysisRequest* request = nullptr;
   std::size_t index = 0;
   Unit* extraction = nullptr;     // the extraction a profile consumer awaits
+  std::size_t member = 0;         // the consumer's handle among its members
   std::vector<Unit*> dependents;  // an extraction's profile consumers
+  // An extraction's profiles, one per member, once it has finished.
+  std::vector<core::CircuitProfile> profiles;
   // A profile consumer's profile: the handle's cached copy found at prepare
   // time, or the one its extraction produced.
   std::optional<core::CircuitProfile> profile;
@@ -234,43 +255,67 @@ TaskSet make_tasks(const analysis::HardenRequest& spec, const Preparation& p) {
   });
 }
 
-// The shared extractions of a batch run, keyed by (handle, profile options).
-struct ExtractionKey {
-  CompiledCircuit handle;
+// The shared extractions of a batch run, keyed by (profile options, input
+// count); the task set is built once every request is prepared.
+struct ExtractionGroup {
   core::ProfileOptions options;
-  Unit* unit;
+  std::size_t inputs = 0;
+  std::vector<CompiledCircuit> members;
+  Unit* unit = nullptr;
 };
 
 // Builds `unit`'s task set; a profile consumer whose profile is not cached
-// first joins (or creates) the extraction of its (handle, options).
+// first joins (or creates) the extraction of its (options, input count), as
+// a new member unless its handle already is one.
 void prepare(Unit& unit, std::deque<Unit>& units,
-             std::vector<ExtractionKey>& extractions, Parallelism how) {
+             std::vector<ExtractionGroup>& groups, Parallelism how) {
   const AnalysisRequest& request = *unit.request;
   if (const core::ProfileOptions* options =
           analysis::profile_options(request.options)) {
     unit.profile = request.circuit.cached_profile(*options);
     if (!unit.profile.has_value()) {
-      const auto same = [&](const ExtractionKey& key) {
-        return key.handle.same_handle(request.circuit) &&
-               key.options == *options;
-      };
-      auto found = std::find_if(extractions.begin(), extractions.end(), same);
-      if (found == extractions.end()) {
-        // Validated before the unit exists, so a failure leaves none behind.
-        TaskSet tasks = erase<SharedExtraction>(request.circuit, *options);
+      // Validated before joining, so a failing member fails alone.
+      const Circuit& circuit = request.circuit.circuit();
+      core::check_profilable(circuit, *options);
+      auto group = std::find_if(
+          groups.begin(), groups.end(), [&](const ExtractionGroup& g) {
+            return g.options == *options && g.inputs == circuit.num_inputs();
+          });
+      if (group == groups.end()) {
         Unit& extraction = units.emplace_back();
-        extraction.tasks = std::move(tasks);
-        found = extractions.insert(
-            extractions.end(), {request.circuit, *options, &extraction});
+        group = groups.insert(groups.end(), {*options, circuit.num_inputs(),
+                                             {}, &extraction});
       }
-      unit.extraction = found->unit;
-      found->unit->dependents.push_back(&unit);
+      const auto member = std::find_if(
+          group->members.begin(), group->members.end(),
+          [&](const CompiledCircuit& m) {
+            return m.same_handle(request.circuit);
+          });
+      unit.member = static_cast<std::size_t>(member - group->members.begin());
+      if (member == group->members.end()) {
+        group->members.push_back(request.circuit);
+      }
+      unit.extraction = group->unit;
+      group->unit->dependents.push_back(&unit);
     }
   }
   const Preparation preparation{request, unit, how};
   unit.tasks = std::visit(
       [&](const auto& spec) { return make_tasks(spec, preparation); },
       request.options);
+}
+
+// The task set of a group's extraction unit: finish() hands the members'
+// profiles to the unit, for its dependents.
+TaskSet extraction_tasks(ExtractionGroup& group) {
+  const auto tasks = std::make_shared<SharedExtraction>(
+      std::move(group.members), group.options);
+  return {tasks->num_tasks(),
+          [tasks](std::size_t task) { tasks->run_task(task); },
+          [tasks, &unit = *group.unit]() -> ResultPayload {
+            unit.profiles = tasks->finish();
+            return {};
+          }};
 }
 
 }  // namespace
@@ -285,7 +330,7 @@ void BatchEvaluator::run(const ResultSink& sink) {
   // Requests first, then the shared extractions; a deque keeps addresses
   // stable as extractions are appended.
   std::deque<Unit> units(num_jobs);
-  std::vector<ExtractionKey> extractions;
+  std::vector<ExtractionGroup> groups;
   const obs::Span batch_span("batch-run", {},
                              "jobs=" + std::to_string(num_jobs));
   static obs::Counter& jobs_total =
@@ -295,17 +340,25 @@ void BatchEvaluator::run(const ResultSink& sink) {
 
   // Phase 1 (serial, cheap): validate every request and build its task set,
   // grouping shared profile extractions. A request that fails validation is
-  // isolated into an error result and contributes no tasks.
+  // isolated into an error result and contributes no tasks. Then each
+  // extraction builds its union over the members its consumers named.
   for (std::size_t j = 0; j < num_jobs; ++j) {
     Unit& unit = units[j];
     unit.request = &requests_[j];
     unit.index = j;
     unit.start = std::chrono::steady_clock::now();
     try {
-      prepare(unit, units, extractions, how_);
+      prepare(unit, units, groups, how_);
     } catch (const std::exception& e) {
       unit.record_error(e.what());
       unit.tasks = {};
+    }
+  }
+  for (ExtractionGroup& group : groups) {
+    try {
+      group.unit->tasks = extraction_tasks(group);
+    } catch (const std::exception& e) {
+      group.unit->record_error(e.what());
     }
   }
   std::vector<std::size_t> offsets(units.size() + 1, 0);
@@ -377,7 +430,7 @@ void BatchEvaluator::run(const ResultSink& sink) {
       if (unit.failed.load()) {
         dependent->record_error(unit.error_text());
       } else {
-        dependent->profile = std::get<core::CircuitProfile>(payload);
+        dependent->profile = unit.profiles[dependent->member];
       }
       complete(*dependent);
     }

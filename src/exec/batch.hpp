@@ -6,9 +6,11 @@
 // units of one kind: a task set (exec::run_tasks's shape) whose finish()
 // yields the result payload. A sharded request holds its engine's task set
 // (sim::ReliabilityTasks, sim::ActivityTasks, fault::CampaignTasks, ...);
-// lint, cec and harden are one-task sets; and requests that need the same
-// profile (same handle, same profile options) wait on one shared
-// core::ProfileExtraction unit, whose profile lands in the handle's cache.
+// lint, cec and harden are one-task sets; and requests whose profile is not
+// cached wait on one shared core::ProfileExtraction unit per (profile
+// options, input count). Its members are the distinct handles they name:
+// one union netlist of their structural classes is simulated once for all
+// of them, and each member's profile lands in its handle's cache.
 // Every unit's tasks are flattened into one task space over the shared
 // ThreadPool, so a long request's shards interleave with short requests
 // instead of serializing behind them, and a unit's task set (simulator

@@ -4,6 +4,7 @@
 
 #include "exec/stream.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "sim/exhaustive.hpp"
 #include "sim/logic_sim.hpp"
 #include "sim/prng.hpp"
@@ -29,15 +30,20 @@ void finalize_gate_averages(const Circuit& circuit, ActivityResult& result) {
   result.avg_gate_toggle_rate = gates == 0 ? 0.0 : sw_sum / static_cast<double>(gates);
 }
 
-// Validates, then splits sample_pairs into shards of shard_pairs.
-exec::ShardPlan activity_plan(const ActivityOptions& options) {
+obs::Counter& gate_evals_counter() {
+  static obs::Counter& counter =
+      obs::Registry::global().counter("sim-activity-gate-evals-total");
+  return counter;
+}
+
+}  // namespace
+
+exec::ShardPlan activity_shard_plan(const ActivityOptions& options) {
   if (options.sample_pairs == 0) {
     throw std::invalid_argument("estimate_activity: sample_pairs must be > 0");
   }
   return exec::ShardPlan(options.sample_pairs, options.shard_pairs);
 }
-
-}  // namespace
 
 void ActivityCounts::merge(const ActivityCounts& other) {
   for (std::size_t id = 0; id < ones.size(); ++id) {
@@ -69,7 +75,7 @@ ActivityTasks::ActivityTasks(const Circuit& circuit,
                              const ActivityOptions& options)
     : circuit_(circuit),
       options_(options),
-      plan_(activity_plan(options)),
+      plan_(activity_shard_plan(options)),
       flat_(circuit),
       counts_(circuit.node_count()) {}
 
@@ -98,6 +104,7 @@ void ActivityTasks::run_task(std::size_t task) {
       local.toggles[id] += static_cast<std::uint64_t>(popcount(a ^ b));
     }
   }
+  gate_evals_counter().add(2 * shard.size() * n);
   const util::LockGuard lock(mutex_);
   counts_.merge(local);
 }
@@ -105,6 +112,11 @@ void ActivityTasks::run_task(std::size_t task) {
 ActivityResult ActivityTasks::finish() {
   const util::LockGuard lock(mutex_);
   return counts_.result(circuit_, options_.sample_pairs, 1);
+}
+
+ActivityCounts ActivityTasks::counts() {
+  const util::LockGuard lock(mutex_);
+  return counts_;
 }
 
 ActivityResult estimate_activity(const Circuit& circuit,

@@ -46,6 +46,11 @@ struct ActivityOptions {
     const netlist::Circuit& circuit, const ActivityOptions& options = {},
     exec::Parallelism how = {});
 
+// The shard decomposition of `options.sample_pairs` into shards of
+// `shard_pairs`. Throws std::invalid_argument on a zero sample budget.
+[[nodiscard]] exec::ShardPlan activity_shard_plan(
+    const ActivityOptions& options);
+
 // Per-node integer accumulators of one or more shards; merge by +.
 struct ActivityCounts {
   std::vector<std::uint64_t> ones;     // set lanes per node
@@ -64,7 +69,11 @@ struct ActivityCounts {
 // `shard_pairs` vector pairs. Shard i draws from the counter-based stream of
 // (seed, i) and its per-node counts merge by integer sum, so
 // estimate_activity, a profile extraction and a batched activity job give
-// the same bits for any schedule.
+// the same bits for any schedule. The inputs a shard sees depend only on
+// (seed, i, input count), which is what lets a profile extraction sweep one
+// union netlist for many circuits. Each task adds its gate evaluations (two
+// full sweeps per pair) to the `sim-activity-gate-evals-total` counter
+// (observability only).
 class ActivityTasks {
  public:
   // Throws std::invalid_argument on a zero sample budget. `circuit` must
@@ -77,6 +86,9 @@ class ActivityTasks {
   }
   void run_task(std::size_t task);
   [[nodiscard]] ActivityResult finish();
+  // The merged per-node counts, for a caller that gathers them into another
+  // circuit's node order.
+  [[nodiscard]] ActivityCounts counts();
 
  private:
   const netlist::Circuit& circuit_;

@@ -1,6 +1,7 @@
 #include "sim/noise.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -17,14 +18,25 @@ NoisySim::NoisySim(const Circuit& circuit, double epsilon, std::uint64_t seed)
     : NoisySim(circuit,
                std::vector<double>(circuit.node_count(), epsilon), seed) {}
 
+NoisySim::NoisySim(const FlatCircuit& flat, double epsilon, std::uint64_t seed)
+    : NoisySim(nullptr, &flat, std::vector<double>(flat.node_count(), epsilon),
+               seed) {}
+
 NoisySim::NoisySim(const Circuit& circuit, std::vector<double> epsilons,
                    std::uint64_t seed)
-    : flat_(circuit),
+    : NoisySim(std::make_unique<const FlatCircuit>(circuit), nullptr,
+               std::move(epsilons), seed) {}
+
+NoisySim::NoisySim(std::unique_ptr<const FlatCircuit> owned,
+                   const FlatCircuit* shared, std::vector<double> epsilons,
+                   std::uint64_t seed)
+    : owned_(std::move(owned)),
+      flat_(shared != nullptr ? shared : owned_.get()),
       epsilons_(std::move(epsilons)),
       rng_(seed),
-      values_(circuit.node_count(), 0),
-      errors_(circuit.node_count(), 0) {
-  if (epsilons_.size() != circuit.node_count()) {
+      values_(flat_->node_count(), 0),
+      errors_(flat_->node_count(), 0) {
+  if (epsilons_.size() != flat_->node_count()) {
     throw std::invalid_argument("NoisySim: epsilon vector size mismatch");
   }
   for (double e : epsilons_) {
@@ -36,17 +48,18 @@ NoisySim::NoisySim(const Circuit& circuit, std::vector<double> epsilons,
 }
 
 void NoisySim::eval(std::span<const Word> input_words) {
-  if (input_words.size() != flat_.num_inputs()) {
+  if (input_words.size() != flat_->num_inputs()) {
     throw std::invalid_argument("NoisySim::eval: input word count mismatch");
   }
-  for (NodeId id = 0; id < flat_.node_count(); ++id) {
-    const GateType kind = flat_.kind(id);
+  for (NodeId id = 0; id < flat_->node_count(); ++id) {
+    const GateType kind = flat_->kind(id);
     if (kind == GateType::kInput) {
-      values_[id] = input_words[static_cast<std::size_t>(flat_.input_slot(id))];
+      values_[id] =
+          input_words[static_cast<std::size_t>(flat_->input_slot(id))];
       errors_[id] = 0;
       continue;
     }
-    const Word clean = eval_gate(flat_, id, values_.data());
+    const Word clean = eval_gate(*flat_, id, values_.data());
     if (counts_as_gate(kind) && epsilons_[id] > 0.0) {
       errors_[id] = bernoulli_word(rng_, epsilons_[id]);
       values_[id] = clean ^ errors_[id];
@@ -59,8 +72,8 @@ void NoisySim::eval(std::span<const Word> input_words) {
 
 std::vector<Word> NoisySim::output_values() const {
   std::vector<Word> out;
-  out.reserve(flat_.num_outputs());
-  for (NodeId id : flat_.outputs()) out.push_back(values_[id]);
+  out.reserve(flat_->num_outputs());
+  for (NodeId id : flat_->outputs()) out.push_back(values_[id]);
   return out;
 }
 
@@ -83,13 +96,14 @@ NoisyActivityTasks::NoisyActivityTasks(const Circuit& circuit, double epsilon,
       epsilon_(epsilon),
       options_(options),
       plan_(noisy_activity_plan(options)),
+      flat_(circuit),
       counts_(circuit.node_count()) {}
 
 void NoisyActivityTasks::run_task(std::size_t task) {
   const exec::Shard shard = plan_.shard(task);
   const std::size_t n = circuit_.node_count();
   Xoshiro256 rng(exec::stream_seed(options_.seed, shard.index));
-  NoisySim sim(circuit_, epsilon_, rng.next());
+  NoisySim sim(flat_, epsilon_, rng.next());
   std::vector<Word> in_a(circuit_.num_inputs());
   std::vector<Word> in_b(circuit_.num_inputs());
   std::vector<Word> first(n);

@@ -9,6 +9,7 @@
 // one per failure-prone gate, so the noise stream is fixed by the seed.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -24,9 +25,14 @@ namespace enb::sim {
 
 class NoisySim {
  public:
-  // Uniform gate error probability `epsilon` in [0, 0.5].
+  // Uniform gate error probability `epsilon` in [0, 0.5]. Builds (and owns)
+  // the flat form of `circuit`.
   NoisySim(const netlist::Circuit& circuit, double epsilon,
            std::uint64_t seed);
+
+  // Shares an existing flat form, which must outlive the simulator; the
+  // draws are those of the owning form over the same circuit.
+  NoisySim(const FlatCircuit& flat, double epsilon, std::uint64_t seed);
 
   // Heterogeneous variant: `epsilons` holds one entry per node (entries for
   // inputs/constants are ignored).
@@ -48,7 +54,13 @@ class NoisySim {
   }
 
  private:
-  FlatCircuit flat_;
+  // `shared` when non-null, else `owned` (which must then be non-null).
+  NoisySim(std::unique_ptr<const FlatCircuit> owned,
+           const FlatCircuit* shared, std::vector<double> epsilons,
+           std::uint64_t seed);
+
+  std::unique_ptr<const FlatCircuit> owned_;
+  const FlatCircuit* flat_;
   std::vector<double> epsilons_;
   Xoshiro256 rng_;
   std::vector<Word> values_;
@@ -67,6 +79,7 @@ class NoisySim {
 // like ActivityTasks: shard i's inputs and its private noise source both
 // derive from the counter-based stream of (seed, i), and per-node counts
 // merge by integer sum, so the estimate is bit-identical for any schedule.
+// The flat form is built once per task set and shared by its tasks.
 class NoisyActivityTasks {
  public:
   // Throws std::invalid_argument on a zero sample budget; an epsilon outside
@@ -85,6 +98,7 @@ class NoisyActivityTasks {
   double epsilon_;
   ActivityOptions options_;
   exec::ShardPlan plan_;
+  FlatCircuit flat_;  // shared read-only by the tasks
   util::Mutex mutex_;
   // ones counts both vectors of every pair.
   ActivityCounts counts_ ENB_GUARDED_BY(mutex_);

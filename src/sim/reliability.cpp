@@ -21,8 +21,8 @@ namespace {
 // instead of storing every candidate. The first draw of the sample's stream
 // seeds its private noise source; the assignment bits follow.
 std::pair<std::vector<bool>, std::uint64_t> worst_case_sample_assignment(
-    const Circuit& noisy, const WorstCaseOptions& options, std::size_t sample,
-    std::vector<Word>* inputs) {
+    const FlatCircuit& noisy, const WorstCaseOptions& options,
+    std::size_t sample, std::vector<Word>* inputs) {
   Xoshiro256 rng(
       exec::stream_seed(options.seed, static_cast<std::uint64_t>(sample)));
   const std::uint64_t noise_seed = rng.next();
@@ -73,13 +73,14 @@ std::size_t worst_case_samples(const Circuit& noisy, const Circuit& golden,
 
 // Failures of the noisy circuit against the golden one over the current
 // input block: lanes where any output differs.
-std::uint64_t output_failures(const Circuit& noisy, const NoisySim& noisy_sim,
-                              const Circuit& golden,
+std::uint64_t output_failures(const FlatCircuit& noisy,
+                              const NoisySim& noisy_sim,
+                              const FlatCircuit& golden,
                               const LogicSim& golden_sim) {
   Word wrong = 0;
   for (std::size_t o = 0; o < noisy.num_outputs(); ++o) {
-    wrong |= noisy_sim.value(noisy.outputs()[o]) ^
-             golden_sim.value(golden.outputs()[o]);
+    wrong |= noisy_sim.values()[noisy.outputs()[o]] ^
+             golden_sim.values()[golden.outputs()[o]];
   }
   return static_cast<std::uint64_t>(popcount(wrong));
 }
@@ -110,18 +111,18 @@ ReliabilityResult wilson_interval(std::uint64_t failures,
 ReliabilityTasks::ReliabilityTasks(const Circuit& noisy, const Circuit& golden,
                                    double epsilon,
                                    const ReliabilityOptions& options)
-    : noisy_(noisy),
-      golden_(golden),
-      epsilon_(epsilon),
+    : epsilon_(epsilon),
       options_(options),
-      plan_(reliability_plan(noisy, golden, options)) {}
+      plan_(reliability_plan(noisy, golden, options)),
+      noisy_flat_(noisy),
+      golden_flat_(golden) {}
 
 void ReliabilityTasks::run_task(std::size_t task) {
   const exec::Shard shard = plan_.shard(task);
   Xoshiro256 rng(exec::stream_seed(options_.seed, shard.index));
-  NoisySim noisy_sim(noisy_, epsilon_, rng.next());
-  LogicSim golden_sim(golden_);
-  std::vector<Word> inputs(noisy_.num_inputs());
+  NoisySim noisy_sim(noisy_flat_, epsilon_, rng.next());
+  LogicSim golden_sim(golden_flat_);
+  std::vector<Word> inputs(noisy_flat_.num_inputs());
 
   std::uint64_t failures = 0;
   for (std::size_t pass = shard.begin; pass < shard.end; ++pass) {
@@ -130,7 +131,8 @@ void ReliabilityTasks::run_task(std::size_t task) {
     }
     noisy_sim.eval(inputs);
     golden_sim.eval(inputs);
-    failures += output_failures(noisy_, noisy_sim, golden_, golden_sim);
+    failures +=
+        output_failures(noisy_flat_, noisy_sim, golden_flat_, golden_sim);
   }
   failures_.fetch_add(failures, std::memory_order_relaxed);
 }
@@ -159,24 +161,26 @@ ReliabilityResult estimate_reliability(const Circuit& circuit, double epsilon,
 
 WorstCaseTasks::WorstCaseTasks(const Circuit& noisy, const Circuit& golden,
                                double epsilon, const WorstCaseOptions& options)
-    : noisy_(noisy),
-      golden_(golden),
-      epsilon_(epsilon),
+    : epsilon_(epsilon),
       options_(options),
+      noisy_flat_(noisy),
+      golden_flat_(golden),
       sample_failures_(worst_case_samples(noisy, golden, options), 0) {}
 
 void WorstCaseTasks::run_task(std::size_t sample) {
-  std::vector<Word> inputs(noisy_.num_inputs());
+  std::vector<Word> inputs(noisy_flat_.num_inputs());
   const std::uint64_t noise_seed =
-      worst_case_sample_assignment(noisy_, options_, sample, &inputs).second;
-  NoisySim noisy_sim(noisy_, epsilon_, noise_seed);
-  LogicSim golden_sim(golden_);
+      worst_case_sample_assignment(noisy_flat_, options_, sample, &inputs)
+          .second;
+  NoisySim noisy_sim(noisy_flat_, epsilon_, noise_seed);
+  LogicSim golden_sim(golden_flat_);
   golden_sim.eval(inputs);
   std::uint64_t failures = 0;
   const std::uint64_t passes = worst_case_passes(options_);
   for (std::uint64_t pass = 0; pass < passes; ++pass) {
     noisy_sim.eval(inputs);
-    failures += output_failures(noisy_, noisy_sim, golden_, golden_sim);
+    failures +=
+        output_failures(noisy_flat_, noisy_sim, golden_flat_, golden_sim);
   }
   sample_failures_[sample] = failures;
 }
@@ -196,7 +200,8 @@ WorstCaseResult WorstCaseTasks::finish() const {
     }
   }
   result.worst_input =
-      worst_case_sample_assignment(noisy_, options_, worst_sample, nullptr)
+      worst_case_sample_assignment(noisy_flat_, options_, worst_sample,
+                                   nullptr)
           .first;
   result.worst = wilson_interval(worst_failures, executed);
   result.worst.requested_trials = options_.trials_per_input;

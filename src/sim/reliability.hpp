@@ -16,6 +16,7 @@
 #include "exec/thread_pool.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/bitpack.hpp"
+#include "sim/flat_circuit.hpp"
 
 namespace enb::sim {
 
@@ -58,7 +59,7 @@ struct ReliabilityOptions {
 class ReliabilityTasks {
  public:
   // Throws std::invalid_argument on an interface mismatch or a zero trial
-  // budget. Both circuits must outlive the task set.
+  // budget.
   ReliabilityTasks(const netlist::Circuit& noisy,
                    const netlist::Circuit& golden, double epsilon,
                    const ReliabilityOptions& options);
@@ -70,11 +71,12 @@ class ReliabilityTasks {
   [[nodiscard]] ReliabilityResult finish() const;
 
  private:
-  const netlist::Circuit& noisy_;
-  const netlist::Circuit& golden_;
   double epsilon_;
   ReliabilityOptions options_;
   exec::ShardPlan plan_;
+  // Built once per task set and shared read-only by the tasks.
+  FlatCircuit noisy_flat_;
+  FlatCircuit golden_flat_;
   std::atomic<std::uint64_t> failures_{0};
 };
 
@@ -125,8 +127,7 @@ struct WorstCaseResult {
 // re-derived from its stream).
 class WorstCaseTasks {
  public:
-  // Throws like estimate_worst_case_reliability on invalid inputs. Both
-  // circuits must outlive the task set.
+  // Throws like estimate_worst_case_reliability on invalid inputs.
   WorstCaseTasks(const netlist::Circuit& noisy, const netlist::Circuit& golden,
                  double epsilon, const WorstCaseOptions& options);
 
@@ -137,10 +138,11 @@ class WorstCaseTasks {
   [[nodiscard]] WorstCaseResult finish() const;
 
  private:
-  const netlist::Circuit& noisy_;
-  const netlist::Circuit& golden_;
   double epsilon_;
   WorstCaseOptions options_;
+  // Built once per task set and shared read-only by the tasks.
+  FlatCircuit noisy_flat_;
+  FlatCircuit golden_flat_;
   std::vector<std::uint64_t> sample_failures_;  // one slot per sample
 };
 

@@ -19,9 +19,19 @@
 // is the OR of (new ^ base) over the changed output nodes, exactly the word
 // a full re-sweep would give, so the counts are those of n + 1 full sweeps
 // at the cost of the flipped inputs' live fanout cones.
+//
+// One sweep can serve several circuits at once (OutputGroups): each group
+// watches a set of nodes and ORs their change words into its own
+// difference word, with its own counts. The scan ORs every watched change
+// into one word, which is the difference of a lone group; with several
+// groups, a flip that changed a watched node splits the changes in its undo
+// log among them. core::ProfileExtraction sweeps the union netlist of a
+// batch's same-input-count circuits this way, one group per distinct set
+// of output classes.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "exec/stream.hpp"
@@ -78,15 +88,52 @@ struct SensitivityCounts {
 
 // The shard decomposition implied by `options`: exhaustive blocks (exact) or
 // sample words (sampled), in groups of shard_words. Degenerate circuits
-// (no inputs or no outputs) get an empty plan.
+// (no inputs or no outputs) get an empty plan. Throws std::invalid_argument
+// when the sampled sweep is selected with a zero sample budget (which would
+// otherwise divide 0/0 into NaN influence).
 [[nodiscard]] exec::ShardPlan sensitivity_shard_plan(
     const netlist::Circuit& circuit, const SensitivityOptions& options);
 
-// Counts contributed by one shard of the plan; deterministic for exact
-// sweeps, a pure function of (options.seed, shard.index) for sampled ones.
-// Concurrent shards may share `flat`, the flat form of the planned circuit.
-// Adds the shard's gate evaluations to the `sim-sensitivity-gate-evals-total`
-// counter (observability only; never part of the counts).
+// The watched nodes of a sweep's output groups, indexed by node: group g's
+// difference word for a flip is the OR of the change words of the nodes it
+// watches. A circuit's own sweep is the one group of its output nodes.
+class OutputGroups {
+ public:
+  // `groups[g]` lists the node ids (< node_count) group g watches; order and
+  // repeats do not matter.
+  OutputGroups(std::size_t node_count,
+               std::span<const std::vector<netlist::NodeId>> groups);
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  // True when some group watches `id`.
+  [[nodiscard]] bool watched(netlist::NodeId id) const noexcept {
+    return watched_[id] != 0;
+  }
+  // The groups watching `id`, ascending.
+  [[nodiscard]] std::span<const std::uint32_t> of(
+      netlist::NodeId id) const noexcept {
+    return {ids_.data() + offsets_[id], ids_.data() + offsets_[id + 1]};
+  }
+
+ private:
+  std::size_t size_;
+  std::vector<std::uint32_t> offsets_;  // node_count + 1 entries
+  std::vector<std::uint32_t> ids_;
+  std::vector<std::uint8_t> watched_;
+};
+
+// Counts contributed by one shard of the plan, one entry per group;
+// deterministic for exact sweeps, a pure function of (options.seed,
+// shard.index) for sampled ones. Which sweep runs depends only on the
+// input count of `flat`, so only non-degenerate groups may be planned.
+// Concurrent shards may share `flat` and `groups`. Adds the shard's gate
+// evaluations to the `sim-sensitivity-gate-evals-total` counter
+// (observability only; never part of the counts).
+[[nodiscard]] std::vector<SensitivityCounts> sensitivity_shard_counts(
+    const FlatCircuit& flat, const OutputGroups& groups,
+    const SensitivityOptions& options, const exec::Shard& shard);
+
+// The one-group form over `flat`'s own output nodes.
 [[nodiscard]] SensitivityCounts sensitivity_shard_counts(
     const FlatCircuit& flat, const SensitivityOptions& options,
     const exec::Shard& shard);
@@ -97,30 +144,42 @@ struct SensitivityCounts {
     const netlist::Circuit& circuit, const SensitivityOptions& options,
     const SensitivityCounts& counts);
 
-// The sweep as a task set (exec::run_tasks): one task per shard of
-// sensitivity_shard_plan, counts merged under the set's lock. Used by
+// The sweep as a task set (exec::run_tasks): one task per shard of the
+// plan, counts merged per group under the set's lock. Used by
 // compute_sensitivity, profile extraction and the batch engine alike.
 class SensitivityTasks {
  public:
-  // Throws std::invalid_argument when the sampled sweep is selected with a
-  // zero sample budget (which would otherwise divide 0/0 into NaN
-  // influence). `circuit` must outlive the task set.
+  // The sweep of `circuit` for its own outputs. Throws like
+  // sensitivity_shard_plan. `circuit` must outlive the task set.
   SensitivityTasks(const netlist::Circuit& circuit,
+                   const SensitivityOptions& options);
+
+  // One sweep of `circuit` for several output groups (its own output list
+  // is ignored): group g's counts are those of a circuit with the same
+  // inputs whose outputs carry the words of the nodes in groups[g]. No
+  // groups, or no inputs, plan no tasks.
+  SensitivityTasks(const netlist::Circuit& circuit,
+                   std::span<const std::vector<netlist::NodeId>> groups,
                    const SensitivityOptions& options);
 
   [[nodiscard]] std::size_t num_tasks() const noexcept {
     return plan_.num_shards();
   }
   void run_task(std::size_t task);
+  // The result of the single-circuit form.
   [[nodiscard]] SensitivityResult finish();
+  // The merged counts, one entry per group, for finalize_sensitivity
+  // against the circuit each group stands for.
+  [[nodiscard]] std::vector<SensitivityCounts> group_counts();
 
  private:
   const netlist::Circuit& circuit_;
   SensitivityOptions options_;
+  OutputGroups groups_;  // shared read-only by the tasks
   exec::ShardPlan plan_;
-  FlatCircuit flat_;  // shared read-only by the tasks
+  FlatCircuit flat_;     // shared read-only by the tasks
   util::Mutex mutex_;
-  SensitivityCounts counts_ ENB_GUARDED_BY(mutex_);
+  std::vector<SensitivityCounts> counts_ ENB_GUARDED_BY(mutex_);
 };
 
 }  // namespace enb::sim

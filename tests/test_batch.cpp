@@ -265,6 +265,71 @@ TEST(Batch, ProfileRequestMatchesExtractProfile) {
   }
 }
 
+// Profile consumers whose profile is not cached share one extraction per
+// (profile options, input count): a batch mixing input counts, a cache hit
+// and a gateless circuit gives every request the JSON it gets alone, and
+// extracts each handle's profile exactly once.
+TEST(Batch, GroupedExtractionsMatchOneRequestAtATime) {
+  core::ProfileOptions options;
+  options.activity_pairs = 256;
+  options.sensitivity_exact_max_inputs = 8;
+  const auto fresh_handles = [] {
+    netlist::Circuit gateless("no-gates");
+    for (int i = 0; i < 5; ++i) gateless.add_output(gateless.add_input());
+    return std::vector<CompiledCircuit>{
+        analysis::compile(gen::c17()),
+        analysis::compile(ft::nmr_transform(gen::c17()).circuit),
+        compile_suite("parity8"),
+        compile_suite("mult4"),
+        compile_suite("rca8"),
+        analysis::compile(std::move(gateless))};
+  };
+  const auto requests_for = [&](const std::vector<CompiledCircuit>& handles) {
+    std::vector<AnalysisRequest> requests;
+    for (std::size_t h = 0; h < handles.size(); ++h) {
+      const std::string name = "h" + std::to_string(h);
+      requests.push_back(make_request(name + "/profile", handles[h],
+                                      analysis::ProfileRequest{options}));
+      analysis::EnergyBoundRequest bound;
+      bound.profile = options;
+      requests.push_back(make_request(name + "/bound", handles[h], bound));
+    }
+    return requests;
+  };
+  const auto json_of = [](const AnalysisResult& result) {
+    std::ostringstream out;
+    write_result_json(out, result);
+    return out.str();
+  };
+
+  std::vector<std::string> alone;
+  for (AnalysisRequest& request : requests_for(fresh_handles())) {
+    std::vector<AnalysisRequest> one;
+    one.push_back(std::move(request));
+    alone.push_back(json_of(evaluate_requests(std::move(one))[0]));
+  }
+  EXPECT_NE(alone.back().find("no gates to profile"), std::string::npos)
+      << alone.back();
+
+  for (const Parallelism how :
+       {Parallelism::serial(), Parallelism::global_pool(),
+        Parallelism::dedicated(3)}) {
+    const std::vector<CompiledCircuit> handles = fresh_handles();
+    (void)handles[3].profile(options);  // a cache hit in the batch
+    const std::vector<AnalysisResult> results =
+        evaluate_requests(requests_for(handles), how);
+    ASSERT_EQ(results.size(), alone.size());
+    for (std::size_t r = 0; r < results.size(); ++r) {
+      EXPECT_EQ(json_of(results[r]), alone[r]) << "threads " << how.threads;
+    }
+    for (std::size_t h = 0; h < handles.size(); ++h) {
+      EXPECT_EQ(handles[h].profile_extractions(),
+                h + 1 == handles.size() ? 0u : 1u)
+          << "handle " << h << ", threads " << how.threads;
+    }
+  }
+}
+
 TEST(Batch, EnergyBoundRequestMatchesAnalyze) {
   core::ProfileOptions options;
   options.activity_pairs = 256;

@@ -18,6 +18,7 @@
 
 #include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
+#include "core/profile.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault_model.hpp"
@@ -331,6 +332,37 @@ TEST(Harden, SelectiveHardeningBeatsUniformTmrAtEqualAreaOnC17) {
   ASSERT_NE(uniform, nullptr);
   EXPECT_LE(selective->gates, uniform->gates);
   EXPECT_GT(selective->coverage, uniform->coverage);
+}
+
+// The graded batch extracts every candidate's profile from one union of
+// structural classes, which is about the base: replicas and voters share
+// the base's classes and comparators are constant. So a whole serial sweep
+// (the base's own extraction plus the candidates') simulates at most three
+// base extractions' worth of gates, counted by the deterministic registry
+// counters rather than by wall clock.
+TEST(Harden, SweepSimulatesEachStructuralClassOnce) {
+  const analysis::CompiledCircuit mapped =
+      analysis::compile(gen::find_benchmark("c432").build()).mapped(3);
+  const obs::Counter& activity =
+      obs::Registry::global().counter("sim-activity-gate-evals-total");
+  const obs::Counter& sensitivity =
+      obs::Registry::global().counter("sim-sensitivity-gate-evals-total");
+  const auto evals = [&] { return activity.value() + sensitivity.value(); };
+
+  std::uint64_t before = evals();
+  (void)core::extract_profile(mapped.circuit(), core::ProfileOptions{},
+                              exec::Parallelism::serial());
+  const std::uint64_t base = evals() - before;
+  ASSERT_GT(base, 0u);
+
+  before = evals();
+  const ParetoResult result =
+      pareto_sweep(analysis::compile(netlist::Circuit(mapped.circuit())),
+                   SweepOptions{}, exec::Parallelism::serial());
+  const std::uint64_t sweep = evals() - before;
+  ASSERT_GT(result.candidates.size(), 10u);
+  EXPECT_LE(sweep, 3 * base) << sweep << " gate evaluations in the sweep, "
+                             << base << " in one base extraction";
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -29,6 +30,8 @@
 #include "ft/nmr.hpp"
 #include "gen/suite.hpp"
 #include "netlist/circuit.hpp"
+#include "sim/logic_sim.hpp"
+#include "sim/prng.hpp"
 #include "synth/strash.hpp"
 
 namespace enb::analysis {
@@ -194,6 +197,78 @@ TEST(StructuralHash, ProvedConstantsFoldIntoTheHash) {
   const std::vector<std::uint32_t> ids = hasher.hash_circuit(c, &facts.proved);
   EXPECT_EQ(ids[m], StructuralHasher::const_id(false));
   EXPECT_EQ(ids[g], StructuralHasher::const_id(false));
+}
+
+// A random DAG over `inputs` inputs and both constants, drawing every gate
+// type (BUF and MAJ included) and fanins that may repeat, so the hasher's
+// folds, sorts and cancellations all fire.
+Circuit random_dag(std::size_t inputs, int gates, std::uint64_t seed) {
+  constexpr GateType kTypes[] = {
+      GateType::kBuf, GateType::kNot, GateType::kAnd,  GateType::kNand,
+      GateType::kOr,  GateType::kNor, GateType::kXor,  GateType::kXnor,
+      GateType::kMaj};
+  sim::Xoshiro256 rng(seed);
+  Circuit c("random" + std::to_string(seed));
+  std::vector<NodeId> pool;
+  for (std::size_t i = 0; i < inputs; ++i) pool.push_back(c.add_input());
+  pool.push_back(c.add_const(false));
+  pool.push_back(c.add_const(true));
+  for (int g = 0; g < gates; ++g) {
+    const GateType type = kTypes[rng.next_below(std::size(kTypes))];
+    std::size_t arity = 1;
+    if (type == GateType::kMaj) {
+      arity = 3;
+    } else if (type != GateType::kBuf && type != GateType::kNot) {
+      arity = 2 + rng.next_below(3);
+    }
+    std::vector<NodeId> fanins;
+    for (std::size_t f = 0; f < arity; ++f) {
+      fanins.push_back(pool[rng.next_below(pool.size())]);
+    }
+    pool.push_back(c.add_gate(type, std::move(fanins)));
+  }
+  for (int o = 0; o < 3; ++o) c.add_output(pool[pool.size() - 1 - o]);
+  return c;
+}
+
+// The union a grouped profile extraction simulates rests on this: nets of
+// circuits hashed into one hasher that share an id carry the same LogicSim
+// word on every input block, whichever circuit they belong to.
+TEST(StructuralHash, EqualIdsCarryEqualWordsAcrossCircuits) {
+  constexpr std::size_t kInputs = 4;
+  std::size_t shared = 0;  // nets whose id another circuit's net also has
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::vector<Circuit> circuits;
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      circuits.push_back(random_dag(kInputs, 40, seed * 100 + k));
+    }
+    circuits.push_back(ft::nmr_transform(circuits[0]).circuit);
+    StructuralHasher hasher(kInputs);
+    std::vector<std::vector<std::uint32_t>> ids;
+    for (const Circuit& c : circuits) ids.push_back(hasher.hash_circuit(c));
+
+    sim::Xoshiro256 rng(seed);
+    for (int block = 0; block < 4; ++block) {
+      std::vector<sim::Word> inputs(kInputs);
+      for (sim::Word& w : inputs) w = rng.next();
+      // id -> (word, first circuit seen carrying it)
+      std::map<std::uint32_t, std::pair<sim::Word, std::size_t>> word_of;
+      for (std::size_t c = 0; c < circuits.size(); ++c) {
+        sim::LogicSim sim(circuits[c]);
+        sim.eval(inputs);
+        for (NodeId id = 0; id < circuits[c].node_count(); ++id) {
+          const auto [it, fresh] =
+              word_of.try_emplace(ids[c][id], sim.values()[id], c);
+          if (fresh) continue;
+          EXPECT_EQ(sim.values()[id], it->second.first)
+              << "seed " << seed << " circuit " << c << " node " << id
+              << " class " << ids[c][id];
+          if (block == 0 && it->second.second != c) ++shared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(shared, 100u) << "the circuits must share classes";
 }
 
 // ---- check_equivalence ---------------------------------------------------

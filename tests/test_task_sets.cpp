@@ -8,7 +8,9 @@
 
 #include <array>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/profile.hpp"
 #include "exec/thread_pool.hpp"
@@ -96,6 +98,15 @@ void expect_same(const core::CircuitProfile& a, const core::CircuitProfile& b) {
   EXPECT_EQ(a.avg_activity_sw0, b.avg_activity_sw0);
   EXPECT_EQ(a.sensitivity_s, b.sensitivity_s);
   EXPECT_EQ(a.sensitivity_exact, b.sensitivity_exact);
+}
+
+void expect_same(const std::vector<core::CircuitProfile>& a,
+                 const std::vector<core::CircuitProfile>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t m = 0; m < a.size(); ++m) {
+    SCOPED_TRACE("member " + std::to_string(m));
+    expect_same(a[m], b[m]);
+  }
 }
 
 template <typename Make>
@@ -235,7 +246,8 @@ TEST(TaskSets, ProfileExtractionWithExactActivity) {
   ASSERT_LE(static_cast<int>(circuit.num_inputs()),
             options.exact_activity_max_inputs);
   expect_schedule_independent([&] {
-    return std::make_unique<core::ProfileExtraction>(circuit, options);
+    return std::make_unique<core::ProfileExtraction>(
+        std::vector<const Circuit*>{&circuit}, options);
   });
 }
 
@@ -248,7 +260,8 @@ TEST(TaskSets, ProfileExtractionWithSampledActivity) {
   ASSERT_GT(static_cast<int>(circuit.num_inputs()),
             options.exact_activity_max_inputs);
   expect_schedule_independent([&] {
-    return std::make_unique<core::ProfileExtraction>(circuit, options);
+    return std::make_unique<core::ProfileExtraction>(
+        std::vector<const Circuit*>{&circuit}, options);
   });
 }
 
